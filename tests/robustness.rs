@@ -7,9 +7,11 @@
 //! million-node instance — a 50 ms deadline still yields a complete,
 //! valid assignment in bounded time.
 //!
-//! The fault-point armed set is process-global, so every test that
-//! arms faults serialises on [`FAULT_LOCK`] and disarms via an RAII
-//! guard even when an assertion fails.
+//! The fault-point armed set is process-global, so every test that runs
+//! a backend serialises on [`FAULT_LOCK`]: tests that arm faults hold it
+//! through [`arm`], which disarms via an RAII guard even when an
+//! assertion fails, and the others hold it through [`quiet`] so they
+//! never run an engine while a neighbour's faults are armed.
 
 use ppn_backend::{
     backends, robust_partition, Budget, Completion, ExhaustKind, GpBackend, PartitionError,
@@ -33,6 +35,11 @@ fn arm(spec: &str) -> ArmedFaults {
     let guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     faultpoint::install(spec).expect(spec);
     ArmedFaults(guard)
+}
+
+/// Lock with nothing armed, for tests that run engines without faults.
+fn quiet() -> MutexGuard<'static, ()> {
+    FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl Drop for ArmedFaults {
@@ -129,6 +136,7 @@ fn stall_fault_is_cut_off_by_the_deadline() {
 
 #[test]
 fn cancellation_is_a_hard_error_not_a_degraded_answer() {
+    let _quiet = quiet();
     let flag = Arc::new(AtomicBool::new(true));
     let budget = Budget::unlimited().with_cancel(flag);
     let inst = community_instance(4, 16, 4);
@@ -153,6 +161,7 @@ fn cancellation_is_a_hard_error_not_a_degraded_answer() {
 /// every registry backend, each reporting how far it got.
 #[test]
 fn expired_deadline_degrades_every_backend_gracefully() {
+    let _quiet = quiet();
     let inst = community_instance(4, 64, 4);
     let budget = Budget::unlimited().with_deadline(Duration::ZERO);
     for b in backends() {
@@ -177,6 +186,7 @@ fn expired_deadline_degrades_every_backend_gracefully() {
     ignore = "million-node deadline scenario is calibrated for release builds (CI robustness job)"
 )]
 fn fifty_ms_deadline_on_a_million_nodes_degrades_in_bounded_time() {
+    let _quiet = quiet();
     let inst = community_instance(128, 8192, 8);
     assert_eq!(inst.num_nodes(), 1_048_576);
     let deadline = Duration::from_millis(50);
@@ -201,6 +211,7 @@ fn fifty_ms_deadline_on_a_million_nodes_degrades_in_bounded_time() {
 /// unbudgeted runs are bit-identical when no checkpoint ever fires.
 #[test]
 fn generous_deadline_is_bit_identical_to_unlimited() {
+    let _quiet = quiet();
     let inst = community_instance(4, 64, 4);
     let generous = Budget::unlimited().with_deadline(Duration::from_secs(600));
     for b in backends() {
@@ -251,7 +262,7 @@ proptest! {
     ) {
         // faults armed by a concurrently-running test would make this a
         // test of the injection harness instead of the engines
-        let _quiet = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _quiet = quiet();
         let n = g.num_nodes();
         let inst = PartitionInstance::from_graph("fuzz", g, k, Constraints::new(rmax, bmax));
         let budget = Budget::unlimited().with_deadline(Duration::from_micros(deadline_us));
