@@ -12,10 +12,11 @@
 //! 2. places the nodes the delta inserted (greedy: the neighbourhood
 //!    part with the most traffic that still fits `Rmax`, else the
 //!    lightest part);
-//! 3. warm-starts [`constrained_refine_migration`] from the projected
-//!    assignment with the blended `λ·Δcut + (1−λ)·Δmigration` gain —
-//!    constraint violations stay lexicographically dominant, so the
-//!    `Rmax`/`Bmax` contracts hold exactly as in a cold run;
+//! 3. warm-starts [`constrained_refine`] under [`Sweep::Migration`]
+//!    from the projected assignment with the blended
+//!    `λ·Δcut + (1−λ)·Δmigration` gain — constraint violations stay
+//!    lexicographically dominant, so the `Rmax`/`Bmax` contracts hold
+//!    exactly as in a cold run;
 //! 4. reports the cut *and* the migration bill
 //!    ([`MigrationReport`](crate::outcome::MigrationReport)) in the
 //!    outcome's [`CostReport`](crate::CostReport).
@@ -34,9 +35,9 @@ use crate::error::{validate_instance_shape, ExhaustKind, PartitionError};
 use crate::instance::PartitionInstance;
 use crate::outcome::{Completion, MigrationReport, PartitionOutcome, PhaseTiming};
 use crate::robust::{robust_partition, BackendAttempt};
-use gp_core::{constrained_refine_migration, migration_mass, MigrationOptions, RefineOptions};
+use gp_core::{constrained_refine, migration_mass, MigrationOptions, RefineOptions, Sweep};
 use ppn_graph::faultpoint::{alloc_fault, fault_point};
-use ppn_graph::{trace, Budget, DeltaMap, GraphDelta, NodeId, Partition, WeightedGraph};
+use ppn_graph::{trace, Budget, Csr, DeltaMap, GraphDelta, NodeId, Partition, WeightedGraph};
 use std::time::Instant;
 
 /// Tuning of the incremental path.
@@ -284,18 +285,18 @@ fn warm_start(
             format!("memory budget cannot admit {estimate} B working set"),
         ));
     } else {
-        let moves = constrained_refine_migration(
-            &inst.graph,
+        let moves = constrained_refine(
+            &Csr::from_graph(&inst.graph),
             &mut p,
             &inst.constraints,
             &RefineOptions {
                 max_passes: budget.clamp_refine_passes(opts.max_passes),
                 seed,
                 protect_nonempty: true,
-            },
-            &MigrationOptions {
-                reference: reference.assignment(),
-                lambda_permille: opts.lambda_permille,
+                sweep: Sweep::Migration(MigrationOptions {
+                    reference: reference.assignment(),
+                    lambda_permille: opts.lambda_permille,
+                }),
             },
         );
         trace::counter("repart", "warm_moves", moves as u64);

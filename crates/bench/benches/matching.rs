@@ -4,7 +4,7 @@
 //! criterion) and the absorbed-weight quality (printed once).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gp_core::coarsen::{best_matching, run_matching};
+use gp_core::coarsen::{best_matching_in, run_matching, MatchScratch};
 use gp_core::MatchingKind;
 use ppn_gen::community_graph;
 
@@ -25,7 +25,8 @@ fn bench_matching(c: &mut Criterion) {
             m.num_pairs()
         );
     }
-    let (winner, best) = best_matching(&MatchingKind::ALL, &g, 42);
+    let mut scratch = MatchScratch::new();
+    let (winner, best, _) = best_matching_in(&MatchingKind::ALL, &g, 42, &mut scratch);
     println!(
         "  best-of-3    absorbed={} pairs={} (winner: {winner})",
         best.absorbed_weight(&g),
@@ -40,7 +41,11 @@ fn bench_matching(c: &mut Criterion) {
         });
     }
     group.bench_function("best_of_3", |b| {
-        b.iter(|| best_matching(&MatchingKind::ALL, &g, 42).1.num_pairs())
+        b.iter(|| {
+            best_matching_in(&MatchingKind::ALL, &g, 42, &mut scratch)
+                .1
+                .num_pairs()
+        })
     });
     group.finish();
 }

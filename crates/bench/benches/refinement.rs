@@ -7,7 +7,7 @@ use gp_classic::kway::{kway_refine, KwayOptions};
 use gp_core::refine::{constrained_refine, RefineOptions};
 use gp_core::{gp_partition, GpParams};
 use ppn_gen::community_graph;
-use ppn_graph::{Constraints, Partition};
+use ppn_graph::{Constraints, Csr, Partition};
 
 fn bench_refinement(c: &mut Criterion) {
     let g = community_graph(4, 64, 3, 10, 2, 7);
@@ -23,10 +23,11 @@ fn bench_refinement(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("refinement");
     group.sample_size(20);
+    let csr = Csr::from_graph(&g);
     group.bench_function("constrained_refine", |b| {
         b.iter(|| {
             let mut p = start.clone();
-            constrained_refine(&g, &mut p, &cons, &RefineOptions::default())
+            constrained_refine(&csr, &mut p, &cons, &RefineOptions::default())
         })
     });
     group.bench_function("kway_refine_unconstrained", |b| {

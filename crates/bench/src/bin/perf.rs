@@ -48,18 +48,18 @@
 //! `PERF_INJECT_SLOWDOWN=phase:factor` env var scales one recorded
 //! phase time before the JSON is written — the gate's negative test.
 
-use gp_core::refine::RefineOptions;
+use gp_core::refine::{RefineOptions, Sweep};
 use gp_core::{
-    constrained_refine, constrained_refine_csr, constrained_refine_parallel_csr,
-    constrained_refine_reference, gp_coarsen_flat_observed, gp_coarsen_reference, gp_partition,
-    gp_partition_budgeted, greedy_initial_partition, FlatHierarchy, GpParams, InitialOptions,
+    constrained_refine, constrained_refine_reference, gp_coarsen, gp_coarsen_reference,
+    gp_partition, gp_partition_budgeted, greedy_initial_partition, FlatHierarchy, GpParams,
+    InitialOptions, LevelTiming,
 };
 use ppn_backend::{repartition, robust_partition, PartitionInstance, RepartitionOptions};
 use ppn_gen::{dense_community_graph, drift_delta, multicast_network, MulticastSpec};
 use ppn_graph::metrics::{edge_cut, PartitionQuality};
 use ppn_graph::prng::derive_seed;
 use ppn_graph::trace::{self, TraceConfig};
-use ppn_graph::{Budget, Constraints, Partition, WeightedGraph};
+use ppn_graph::{Budget, Constraints, Csr, Partition, WeightedGraph};
 use ppn_hyper::{hyper_partition, HyperParams, HyperQuality};
 use ppn_model::{lower_to_graph, lower_to_hypergraph, LoweringOptions};
 use std::time::{Duration, Instant};
@@ -171,8 +171,8 @@ fn scaling_workloads(smoke: bool) -> Vec<Workload> {
 
 /// Reference-vs-optimized coarsening on the same seed: the original
 /// Lloyd-scan k-means, `find_edge` contraction and absorbed-weight
-/// rescans against the flat-arena rewrite. The Cow-based reference
-/// hierarchy is asserted identical to the arena's (size trace,
+/// rescans against the flat-arena rewrite. The reference hierarchy of
+/// owned graphs is asserted identical to the arena's (size trace,
 /// per-level maps and winning heuristics) — the speedup is pure
 /// implementation, zero algorithmic drift.
 fn coarsen_compare(
@@ -186,13 +186,16 @@ fn coarsen_compare(
     let (reference_s, reference) = time_best(reps, || {
         gp_coarsen_reference(g, &params.matchings, params.coarsen_to, seed)
     });
+    let reference_trace: Vec<usize> = std::iter::once(g.num_nodes())
+        .chain(reference.iter().map(|l| l.coarse.num_nodes()))
+        .collect();
     assert_eq!(
-        reference.size_trace(),
+        reference_trace,
         optimized.size_trace(),
         "reference and flat coarsening diverged (size trace)"
     );
-    assert_eq!(reference.levels.len(), optimized.winners.len());
-    for (i, a) in reference.levels.iter().enumerate() {
+    assert_eq!(reference.len(), optimized.winners.len());
+    for (i, a) in reference.iter().enumerate() {
         assert_eq!(
             a.matching_kind, optimized.winners[i],
             "winning heuristic drifted"
@@ -251,12 +254,13 @@ fn refine_up_flat(
             max_passes: params.refine_passes,
             seed: derive_seed(seed, i as u64),
             protect_nonempty: true,
+            sweep: if params.parallel && level.num_nodes() >= params.parallel_refine_min_nodes {
+                Sweep::Parallel
+            } else {
+                Sweep::Serial
+            },
         };
-        if params.parallel && level.num_nodes() >= params.parallel_refine_min_nodes {
-            constrained_refine_parallel_csr(level, &mut p, cons, &opts);
-        } else {
-            constrained_refine_csr(level, &mut p, cons, &opts);
-        }
+        constrained_refine(level, &mut p, cons, &opts);
     }
     p
 }
@@ -271,7 +275,9 @@ fn measure(w: &Workload, reps: usize) -> serde_json::Value {
     let mut coarsen_levels: Vec<serde_json::Value> = Vec::new();
     let (coarsen_s, hier) = time_best(reps, || {
         coarsen_levels.clear();
-        gp_coarsen_flat_observed(&w.g, &params.matchings, params.coarsen_to, seed, &mut |t| {
+        let unlimited = Budget::unlimited();
+        let mut res = unlimited.begin_reservation();
+        let observe = &mut |t: &LevelTiming| {
             let heuristics = serde_json::Value::Object(
                 t.heuristics
                     .iter()
@@ -288,7 +294,17 @@ fn measure(w: &Workload, reps: usize) -> serde_json::Value {
                 "contract_s": t.contract_s,
                 "heuristics": heuristics,
             }));
-        })
+        };
+        let (hier, _) = gp_coarsen(
+            &w.g,
+            &params.matchings,
+            params.coarsen_to,
+            seed,
+            &unlimited,
+            &mut res,
+            observe,
+        );
+        hier
     });
     let coarsen_vs_reference = if with_references {
         coarsen_compare(&w.g, &params, seed, coarsen_s, &hier, reps)
@@ -444,7 +460,7 @@ fn measure(w: &Workload, reps: usize) -> serde_json::Value {
         let opts = RefineOptions {
             max_passes: params.refine_passes,
             seed: derive_seed(seed, 0x70),
-            protect_nonempty: true,
+            ..Default::default()
         };
         let scrambled: Vec<u32> = (0..n).map(|i| ((i * 31 + 7) % w.k) as u32).collect();
         let scrambled = Partition::from_assignment(scrambled, w.k).unwrap();
@@ -459,7 +475,7 @@ fn measure(w: &Workload, reps: usize) -> serde_json::Value {
         });
         let (optimized_s, (opt_moves, opt_q)) = time_best(reps, || {
             let mut p = scrambled.clone();
-            let m = constrained_refine(&w.g, &mut p, &w.cons, &opts);
+            let m = constrained_refine(&Csr::from_graph(&w.g), &mut p, &w.cons, &opts);
             (
                 m,
                 PartitionQuality::measure(&w.g, &p).goodness_key(w.cons.rmax, w.cons.bmax),
@@ -477,7 +493,7 @@ fn measure(w: &Workload, reps: usize) -> serde_json::Value {
                 });
                 let (o, _) = time_best(reps, || {
                     let mut p = start.clone();
-                    constrained_refine(&w.g, &mut p, &w.cons, &opts)
+                    constrained_refine(&Csr::from_graph(&w.g), &mut p, &w.cons, &opts)
                 });
                 (r, o)
             }

@@ -12,10 +12,10 @@
 //! to `max_cycles` times before reporting the paper's
 //! impossible-or-more-time message.
 
-use crate::coarsen::{gp_coarsen_flat_budgeted, FlatHierarchy};
+use crate::coarsen::{gp_coarsen, FlatHierarchy};
 use crate::initial::{greedy_initial_partition, InitialOptions};
 use crate::params::GpParams;
-use crate::refine::{constrained_refine_csr, constrained_refine_parallel_csr, RefineOptions};
+use crate::refine::{constrained_refine, RefineOptions, Sweep};
 use crate::report::{CycleTrace, GpInfeasible, GpResult, PhaseSeconds};
 use ppn_graph::budget::{Budget, Degradation};
 use ppn_graph::faultpoint::fault_point;
@@ -64,19 +64,20 @@ fn refine_up(
             });
             continue;
         }
+        // reduced-footprint budgets pin refinement to the serial sweep —
+        // the parallel path clones per-shard evaluation buffers
+        let parallel = params.parallel && !budget.reduced_footprint();
         let opts = RefineOptions {
             max_passes: budget.clamp_refine_passes(params.refine_passes),
             seed: derive_seed(params.seed, stream ^ (i as u64) << 8),
             protect_nonempty: true,
+            sweep: if parallel && level.num_nodes() >= params.parallel_refine_min_nodes {
+                Sweep::Parallel
+            } else {
+                Sweep::Serial
+            },
         };
-        // reduced-footprint budgets pin refinement to the serial sweep —
-        // the parallel path clones per-shard evaluation buffers
-        let parallel = params.parallel && !budget.reduced_footprint();
-        if parallel && level.num_nodes() >= params.parallel_refine_min_nodes {
-            constrained_refine_parallel_csr(level, &mut p, c, &opts);
-        } else {
-            constrained_refine_csr(level, &mut p, c, &opts);
-        }
+        constrained_refine(level, &mut p, c, &opts);
     }
     p
 }
@@ -168,20 +169,20 @@ pub fn gp_partition_budgeted(
         }
 
         // hierarchy for this cycle ("go back to coarsening phase …
-        // randomly, cyclically") — built in the flat level arena; the
-        // Cow-based gp_coarsen survives as the property-test oracle
+        // randomly, cyclically")
         fault_point("gp", "coarsen");
         let sp = trace::timed_span("gp", "coarsen", cycle as i64);
         // the reservation is declared before the hierarchy so it drops
         // after it: the ledger bytes stay claimed while the arena lives
         let mut reservation = budget.begin_reservation();
-        let (hier, coarsen_cut_short) = gp_coarsen_flat_budgeted(
+        let (hier, coarsen_cut_short) = gp_coarsen(
             g,
             &matchings,
             params.coarsen_to,
             cycle_seed,
             budget,
             &mut reservation,
+            &mut |_| {},
         );
         phases.coarsen_s += sp.finish();
         if let Some(reason) = coarsen_cut_short {

@@ -22,7 +22,7 @@ use crate::refine::{constrained_refine, RefineOptions};
 use ppn_graph::metrics::PartitionQuality;
 use ppn_graph::prng::{derive_seed, XorShift128Plus};
 use ppn_graph::trace;
-use ppn_graph::{Constraints, NodeId, Partition, WeightedGraph};
+use ppn_graph::{Constraints, Csr, NodeId, Partition, WeightedGraph};
 
 #[cfg(feature = "parallel")]
 use rayon::prelude::*;
@@ -154,13 +154,13 @@ fn run_restart(
     };
     let mut p = grow_from(g, k, c, first, seed);
     constrained_refine(
-        g,
+        &Csr::from_graph(g),
         &mut p,
         c,
         &RefineOptions {
             max_passes: opts.repair_passes,
             seed,
-            protect_nonempty: true,
+            ..Default::default()
         },
     );
     let q = PartitionQuality::measure(g, &p);

@@ -79,7 +79,7 @@ pub struct GpParams {
     pub parallel: bool,
     /// Hierarchy levels with at least this many nodes refine with the
     /// parallel frozen-evaluation sweep
-    /// ([`constrained_refine_parallel_csr`](crate::refine::constrained_refine_parallel_csr))
+    /// ([`Sweep::Parallel`](crate::refine::Sweep::Parallel))
     /// instead of the serial engine — deterministic at any thread count
     /// and sharing the serial engine's fixed points, but free to take a
     /// different (equally valid) move sequence, so the default keeps

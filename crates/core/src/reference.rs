@@ -1,29 +1,108 @@
-//! The original full-sweep constrained refinement, preserved as the
-//! perf baseline for [`crate::refine::constrained_refine`].
+//! The reference oracles of gp-core: the original implementations of
+//! coarsening and refinement, kept as independent checks of the
+//! shipping paths.
 //!
-//! This is the pre-optimisation implementation, kept verbatim in both
-//! behaviour *and* asymptotics so the `perf` harness (ppn-bench) can
-//! measure the speedup of the boundary-driven rewrite against it on
-//! every PR:
+//! * [`gp_coarsen_reference`] rebuilds the GP hierarchy level by level
+//!   as owned [`WeightedGraph`]s, with the original O(n·k) Lloyd-scan
+//!   k-means, `find_edge`-probing [`contract_reference`] and
+//!   [`Matching::absorbed_weight`] rescans, in its own tournament loop.
+//!   It must produce the bit-identical size trace, maps, winners and
+//!   coarse structure as [`gp_coarsen`](crate::coarsen::gp_coarsen).
+//! * [`constrained_refine_reference`] is the pre-optimisation full-sweep
+//!   refinement, kept verbatim in behaviour *and* asymptotics so the
+//!   `perf` harness (ppn-bench) can price the boundary-driven rewrite:
+//!   - every pass sweeps **all** nodes, not just the boundary;
+//!   - candidate targets are gathered into a freshly allocated `Vec` per
+//!     node; move evaluation builds a linear-scanned sparse pair list;
+//!   - every applied move recomputes the total cut with an O(k²) matrix
+//!     scan;
+//!   - the pairwise-exchange repair evaluates each candidate swap by
+//!     cloning the whole state and partition and applying both moves.
 //!
-//! * every pass sweeps **all** nodes, not just the boundary;
-//! * candidate targets are gathered into a freshly allocated `Vec` per
-//!   node; move evaluation builds a linear-scanned sparse pair list;
-//! * every applied move recomputes the total cut with an O(k²) matrix
-//!   scan;
-//! * the pairwise-exchange repair evaluates each candidate swap by
-//!   cloning the whole state and partition and applying both moves.
-//!
-//! It satisfies the same contract as the optimised version (violations
-//! never increase; the cut never increases while feasible; identical
-//! fixed points) and the property suite runs the invariants against
-//! both. Do not "fix" its performance — that would silently rebase the
-//! benchmark.
+//!   It satisfies the same contract as the optimised version (violations
+//!   never increase; the cut never increases while feasible; identical
+//!   fixed points) and the property suite runs the invariants against
+//!   both. Do not "fix" its performance — that would silently rebase the
+//!   benchmark.
 
+use crate::coarsen::{EDGE_ORDER_STREAM, LEVEL_STREAM, STALL_RATIO};
+use crate::kmeans::kmeans_matching_prepared_reference;
+use crate::params::MatchingKind;
 use crate::refine::{ConstrainedState, MoveDelta, RefineOptions};
+use gp_classic::matching::{
+    heavy_edge_matching_node_scan, heavy_edge_matching_prepared, shuffled_sorted_edges,
+};
+use ppn_graph::contract::{contract_reference, CoarseMap};
+use ppn_graph::matching::random_maximal_matching;
 use ppn_graph::metrics::CutMatrix;
 use ppn_graph::prng::{derive_seed, XorShift128Plus};
 use ppn_graph::{Constraints, NodeId, Partition, WeightedGraph};
+use std::cmp::Reverse;
+
+/// One contraction of the reference hierarchy.
+#[derive(Clone, Debug)]
+pub struct ReferenceLevel {
+    /// Fine→coarse map from the previous graph (the input for the first
+    /// level).
+    pub map: CoarseMap,
+    /// Which heuristic won this level's tournament.
+    pub matching_kind: MatchingKind,
+    /// The coarse graph the contraction produced.
+    pub coarse: WeightedGraph,
+}
+
+/// Reference GP coarsening: the same seeds, tournament criterion and
+/// stall rule as [`gp_coarsen`](crate::coarsen::gp_coarsen), on the
+/// original implementations. Returns one [`ReferenceLevel`] per
+/// contraction, finest first; the input graph itself is not repeated.
+pub fn gp_coarsen_reference(
+    g: &WeightedGraph,
+    kinds: &[MatchingKind],
+    coarsen_to: usize,
+    seed: u64,
+) -> Vec<ReferenceLevel> {
+    assert!(!kinds.is_empty(), "need at least one matching heuristic");
+    let mut levels: Vec<ReferenceLevel> = Vec::new();
+    let mut edges = Vec::new();
+    loop {
+        let current = levels.last().map_or(g, |l| &l.coarse);
+        if current.num_nodes() <= coarsen_to {
+            break;
+        }
+        let level_seed = derive_seed(seed, LEVEL_STREAM + levels.len() as u64);
+        shuffled_sorted_edges(
+            current,
+            derive_seed(level_seed, EDGE_ORDER_STREAM),
+            &mut edges,
+        );
+        let (_, matching_kind, m) = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &kind)| {
+                let s = derive_seed(level_seed, i as u64);
+                let m = match kind {
+                    MatchingKind::Random => random_maximal_matching(current, s),
+                    MatchingKind::HeavyEdge => heavy_edge_matching_prepared(current, &edges),
+                    MatchingKind::KMeans => kmeans_matching_prepared_reference(current, s, &edges),
+                    MatchingKind::HeavyEdgeNodeScan => heavy_edge_matching_node_scan(current, s),
+                };
+                let key = (m.absorbed_weight(current), m.num_pairs(), Reverse(i));
+                (key, kind, m)
+            })
+            .max_by_key(|(key, _, _)| *key)
+            .expect("at least one heuristic");
+        if m.coarse_node_count() as f64 > current.num_nodes() as f64 * STALL_RATIO {
+            break;
+        }
+        let (coarse, map) = contract_reference(current, &m);
+        levels.push(ReferenceLevel {
+            map,
+            matching_kind,
+            coarse,
+        });
+    }
+    levels
+}
 
 /// O(k²) total-cut scan — the recompute the optimised path no longer
 /// performs per move.
@@ -111,8 +190,9 @@ fn evaluate_move_pairlist(
 /// order; each node moves to the neighbouring part with the best
 /// strictly-improving `(Δviolation, Δcut)`. Returns the number of
 /// moves applied. Same contract as
-/// [`constrained_refine`](crate::refine::constrained_refine), original
-/// (pre-boundary) cost model.
+/// [`constrained_refine`](crate::refine::constrained_refine) with the
+/// default serial sweep, original (pre-boundary) cost model;
+/// `opts.sweep` is ignored.
 pub fn constrained_refine_reference(
     g: &WeightedGraph,
     p: &mut Partition,

@@ -15,7 +15,7 @@
 //! each pass visits only the current boundary nodes (maintained
 //! incrementally by [`ppn_graph::Boundary`]) plus the nodes of parts
 //! that violate `Rmax` — the only nodes that can have a strictly
-//! improving move. Inner loops run off a [`Csr`] snapshot; all
+//! improving move. Inner loops run off a [`CsrView`]; all
 //! bookkeeping is incremental:
 //!
 //! * [`ConstrainedState`] keeps the K×K traffic matrix, part weights,
@@ -30,36 +30,42 @@
 //!   buffers — no state clones, no allocation.
 //!
 //! The original full-sweep implementation is preserved verbatim in
-//! [`crate::refine_reference`] as the perf baseline; both satisfy the
+//! [`crate::reference`] as the perf baseline; both satisfy the
 //! same invariants (violations never increase; the cut never increases
 //! while feasible) and the same fixed points, validated by the property
 //! suite.
 //!
-//! ## CSR-native entry and the parallel sweep
+//! ## One entry point, three sweeps
 //!
-//! The engine borrows a [`CsrView`] rather than owning a [`Csr`], so
-//! the flat level arena's per-level slices refine in place with zero
-//! copies ([`constrained_refine_csr`]); [`constrained_refine`] stays as
-//! the graph-input wrapper, snapshotting a `Csr` exactly as before —
-//! all outputs are bit-identical.
+//! [`constrained_refine`] borrows a [`CsrView`] rather than owning a
+//! [`Csr`](ppn_graph::Csr), so the flat level arena's per-level slices
+//! refine in place with zero copies; callers holding a [`WeightedGraph`]
+//! snapshot it with [`Csr::from_graph`](ppn_graph::Csr::from_graph).
+//! [`RefineOptions::sweep`] picks the sweep:
 //!
-//! [`constrained_refine_parallel_csr`] is the million-node variant: each
-//! pass first *frozen-evaluates* every active node against the current
-//! (immutable) state in parallel — pure reads, order-independent, so
-//! the candidate set is identical at any `RAYON_NUM_THREADS` — and then
-//! commits serially in the pass's visit order, re-validating each
-//! candidate against the live state before applying. The commit step
-//! makes every applied move exactly a serial-engine move, so the
-//! invariants (violations never increase; the cut never increases while
-//! feasible) carry over unchanged, and a state where the frozen sweep
-//! finds no candidate is precisely a state where the serial sweep would
-//! apply no move: the two engines share fixed points, which the
-//! `parallel_properties` suite checks at 1, 2 and 8 threads.
+//! * [`Sweep::Serial`] (the default) applies each visited node's best
+//!   move immediately;
+//! * [`Sweep::Migration`] is the serial sweep under the warm-start
+//!   objective of [`MigrationOptions`];
+//! * [`Sweep::Parallel`] is the million-node variant (below).
+//!
+//! Each pass of the parallel sweep first *frozen-evaluates* every
+//! active node against the current (immutable) state in parallel —
+//! pure reads, order-independent, so the candidate set is identical at
+//! any `RAYON_NUM_THREADS` — and then commits serially in the pass's
+//! visit order, re-validating each candidate against the live state
+//! before applying. The commit step makes every applied move exactly a
+//! serial-engine move, so the invariants (violations never increase;
+//! the cut never increases while feasible) carry over unchanged, and a
+//! state where the frozen sweep finds no candidate is precisely a state
+//! where the serial sweep would apply no move: the two engines share
+//! fixed points, which the `parallel_properties` suite checks at 1, 2
+//! and 8 threads.
 
 use ppn_graph::metrics::{part_weights_csr, CutMatrix};
 use ppn_graph::prng::{derive_seed, XorShift128Plus};
 use ppn_graph::trace;
-use ppn_graph::{Boundary, Constraints, Csr, CsrView, NodeId, Partition, WeightedGraph};
+use ppn_graph::{Boundary, Constraints, CsrView, NodeId, Partition, WeightedGraph};
 
 #[cfg(feature = "parallel")]
 use rayon::prelude::*;
@@ -352,23 +358,48 @@ pub fn migration_mass(reference: &[u32], assignment: &[u32], vwgt: &[u64]) -> u6
         .sum()
 }
 
+/// How each pass of [`constrained_refine`] visits and commits moves.
+#[derive(Clone, Copy, Debug, Default)]
+pub enum Sweep<'a> {
+    /// Visit the active nodes in random order, applying each node's
+    /// best strictly-improving move at once.
+    #[default]
+    Serial,
+    /// Frozen-evaluate the active set in parallel, then commit serially
+    /// in visit order, re-validating every candidate against the live
+    /// state (see the module docs). Deterministic and independent of
+    /// `RAYON_NUM_THREADS`; shares all invariants and fixed points with
+    /// the serial sweep, but interior passes may take different (equally
+    /// valid) move sequences — callers gate it by graph size, where the
+    /// frozen sweep's O(active · k) evaluation dwarfs the serial commit.
+    Parallel,
+    /// The serial sweep under the migration-aware warm-start objective:
+    /// among constraint-neutral moves the blended
+    /// `λ·Δcut + (1−λ)·Δmigration` score decides. Violations never
+    /// increase.
+    Migration(MigrationOptions<'a>),
+}
+
 /// Options for [`constrained_refine`].
 #[derive(Clone, Debug)]
-pub struct RefineOptions {
+pub struct RefineOptions<'a> {
     /// Maximum sweeps.
     pub max_passes: usize,
     /// Visit-order seed.
     pub seed: u64,
     /// Never empty a part.
     pub protect_nonempty: bool,
+    /// How each pass visits and commits moves.
+    pub sweep: Sweep<'a>,
 }
 
-impl Default for RefineOptions {
+impl Default for RefineOptions<'_> {
     fn default() -> Self {
         RefineOptions {
             max_passes: 8,
             seed: 1,
             protect_nonempty: true,
+            sweep: Sweep::Serial,
         }
     }
 }
@@ -765,119 +796,30 @@ impl<'a> RefineEngine<'a> {
     }
 }
 
-/// Constrained refinement sweep: each pass visits the boundary nodes
-/// and `Rmax`-violators in random order; each visited node moves to the
-/// part with the best strictly-improving `(Δviolation, Δcut)`. Returns
-/// the number of moves applied.
+/// Constrained refinement: each pass visits the boundary nodes and
+/// `Rmax`-violators in random order; each visited node moves to the part
+/// with the best strictly-improving `(Δviolation, Δcut)` (or, under
+/// [`Sweep::Migration`], the blended score). Returns the number of moves
+/// applied.
 ///
 /// The cut never increases while violations are zero; violations never
 /// increase, period. The fixed points coincide with the full-sweep
-/// reference implementation ([`crate::refine_reference`]): a node with
-/// no neighbour in another part and a feasible home part can never have
-/// a strictly improving move, so skipping it loses nothing.
-pub fn constrained_refine(
-    g: &WeightedGraph,
-    p: &mut Partition,
-    c: &Constraints,
-    opts: &RefineOptions,
-) -> usize {
-    let csr = Csr::from_graph(g);
-    constrained_refine_csr(&csr, p, c, opts)
-}
-
-/// [`constrained_refine`] off a borrowed CSR view — the entry the flat
-/// level arena's per-level slices use, with no graph materialisation
-/// and no CSR copy. Bit-identical to the graph entry on the same
-/// topology (the wrapper above delegates here).
-pub fn constrained_refine_csr<'a>(
+/// reference implementation ([`crate::reference`]): a node with no
+/// neighbour in another part and a feasible home part can never have a
+/// strictly improving move, so skipping it loses nothing.
+pub fn constrained_refine<'a>(
     csr: impl Into<CsrView<'a>>,
     p: &mut Partition,
     c: &Constraints,
-    opts: &RefineOptions,
+    opts: &RefineOptions<'_>,
 ) -> usize {
-    refine_entry(csr.into(), p, c, opts, false)
-}
-
-/// Parallel-sweep constrained refinement (see the module docs): each
-/// pass frozen-evaluates the active set in parallel, then commits
-/// serially in visit order, re-validating every candidate against the
-/// live state. Deterministic and independent of `RAYON_NUM_THREADS`;
-/// shares all invariants and fixed points with [`constrained_refine`],
-/// but interior passes may take different (equally valid) move
-/// sequences — callers gate it by graph size, where the frozen sweep's
-/// O(active · k) evaluation dwarfs the serial commit.
-pub fn constrained_refine_parallel(
-    g: &WeightedGraph,
-    p: &mut Partition,
-    c: &Constraints,
-    opts: &RefineOptions,
-) -> usize {
-    let csr = Csr::from_graph(g);
-    constrained_refine_parallel_csr(&csr, p, c, opts)
-}
-
-/// [`constrained_refine_parallel`] off a borrowed CSR view.
-pub fn constrained_refine_parallel_csr<'a>(
-    csr: impl Into<CsrView<'a>>,
-    p: &mut Partition,
-    c: &Constraints,
-    opts: &RefineOptions,
-) -> usize {
-    refine_entry(csr.into(), p, c, opts, true)
-}
-
-/// Warm-start refinement under the migration-aware objective of
-/// [`MigrationOptions`]: identical sweep structure to
-/// [`constrained_refine`], but among constraint-neutral moves the
-/// blended `λ·Δcut + (1−λ)·Δmigration` score decides. Violations never
-/// increase; with `lambda_permille = 1000` and no reference the sweep
-/// degenerates to the classic objective.
-pub fn constrained_refine_migration(
-    g: &WeightedGraph,
-    p: &mut Partition,
-    c: &Constraints,
-    opts: &RefineOptions,
-    mig: &MigrationOptions<'_>,
-) -> usize {
-    let csr = Csr::from_graph(g);
-    constrained_refine_migration_csr(&csr, p, c, opts, mig)
-}
-
-/// [`constrained_refine_migration`] off a borrowed CSR view.
-pub fn constrained_refine_migration_csr<'a>(
-    csr: impl Into<CsrView<'a>>,
-    p: &mut Partition,
-    c: &Constraints,
-    opts: &RefineOptions,
-    mig: &MigrationOptions<'_>,
-) -> usize {
-    refine_entry_with(csr.into(), p, c, opts, false, Some(mig))
-}
-
-fn refine_entry(
-    csr: CsrView<'_>,
-    p: &mut Partition,
-    c: &Constraints,
-    opts: &RefineOptions,
-    parallel: bool,
-) -> usize {
-    refine_entry_with(csr, p, c, opts, parallel, None)
-}
-
-fn refine_entry_with<'a>(
-    csr: CsrView<'a>,
-    p: &mut Partition,
-    c: &Constraints,
-    opts: &RefineOptions,
-    parallel: bool,
-    mig: Option<&MigrationOptions<'a>>,
-) -> usize {
+    let csr = csr.into();
     assert!(p.is_complete(), "refinement needs a complete partition");
     if csr.num_nodes() == 0 || p.k() <= 1 {
         return 0;
     }
     let mut engine = RefineEngine::new(csr, p, c);
-    if let Some(m) = mig {
+    if let Sweep::Migration(m) = &opts.sweep {
         assert_eq!(
             m.reference.len(),
             csr.num_nodes(),
@@ -901,7 +843,7 @@ fn refine_entry_with<'a>(
         trace::counter("refine", "boundary_nodes", active.len() as u64);
         trace::counter("refine", "moves_evaluated", active.len() as u64);
         let mut moves = 0;
-        if parallel {
+        if let Sweep::Parallel = opts.sweep {
             // frozen-eval in parallel, commit serially in visit order;
             // the first commit re-validates against an unchanged state,
             // so a non-empty candidate set always yields >= 1 move
@@ -943,6 +885,29 @@ fn refine_entry_with<'a>(
 mod tests {
     use super::*;
     use ppn_graph::metrics::edge_cut;
+    use ppn_graph::Csr;
+
+    fn refine(
+        g: &WeightedGraph,
+        p: &mut Partition,
+        c: &Constraints,
+        opts: &RefineOptions,
+    ) -> usize {
+        constrained_refine(&Csr::from_graph(g), p, c, opts)
+    }
+
+    fn migrate(
+        g: &WeightedGraph,
+        p: &mut Partition,
+        c: &Constraints,
+        mig: MigrationOptions,
+    ) -> usize {
+        let opts = RefineOptions {
+            sweep: Sweep::Migration(mig),
+            ..Default::default()
+        };
+        refine(g, p, c, &opts)
+    }
 
     /// Two heavy producer-consumer pairs plus a moderate cross stream:
     /// the min-cut bisection routes 30 units over one pair — infeasible
@@ -1037,7 +1002,7 @@ mod tests {
         // scrambled start
         let mut p = Partition::from_assignment(vec![0, 1, 0, 1, 0, 1], 2).unwrap();
         let before = edge_cut(&g, &p);
-        constrained_refine(&g, &mut p, &c, &RefineOptions::default());
+        refine(&g, &mut p, &c, &RefineOptions::default());
         let after = edge_cut(&g, &p);
         assert!(after <= before);
         assert!(
@@ -1063,7 +1028,7 @@ mod tests {
             10,
             "start must violate for the test to bite"
         );
-        constrained_refine(&g, &mut p, &c, &RefineOptions::default());
+        refine(&g, &mut p, &c, &RefineOptions::default());
         let s2 = ConstrainedState::new(&g, &p);
         assert_eq!(s2.violation(&c), 0, "single-move repair should succeed");
         assert!(c.is_feasible(&g, &p));
@@ -1081,7 +1046,7 @@ mod tests {
         let c = Constraints::new(30, 100);
         let mut p = Partition::from_assignment(vec![0, 1, 1, 1, 1], 2).unwrap();
         assert!(ConstrainedState::new(&g, &p).violation(&c) > 0);
-        constrained_refine(&g, &mut p, &c, &RefineOptions::default());
+        refine(&g, &mut p, &c, &RefineOptions::default());
         assert!(c.is_feasible(&g, &p), "resource repair should succeed");
     }
 
@@ -1098,7 +1063,7 @@ mod tests {
         let c = Constraints::new(50, 100);
         let mut p = Partition::from_assignment(vec![0, 0, 1, 1], 2).unwrap();
         assert!(ConstrainedState::new(&g, &p).violation(&c) > 0);
-        let moves = constrained_refine(&g, &mut p, &c, &RefineOptions::default());
+        let moves = refine(&g, &mut p, &c, &RefineOptions::default());
         assert!(moves > 0);
         assert!(c.is_feasible(&g, &p), "weights {:?}", p.part_weights(&g));
     }
@@ -1111,7 +1076,7 @@ mod tests {
             let assign: Vec<u32> = (0..6).map(|i| ((i + seed) % 3) as u32).collect();
             let mut p = Partition::from_assignment(assign, 3).unwrap();
             let v_before = ConstrainedState::new(&g, &p).violation(&c);
-            constrained_refine(
+            refine(
                 &g,
                 &mut p,
                 &c,
@@ -1130,7 +1095,7 @@ mod tests {
         let g = bw_tension();
         let c = Constraints::unconstrained();
         let mut p = Partition::from_assignment(vec![0, 1, 1, 1, 1, 1], 2).unwrap();
-        constrained_refine(&g, &mut p, &c, &RefineOptions::default());
+        refine(&g, &mut p, &c, &RefineOptions::default());
         assert!(p.part_sizes().iter().all(|&s| s >= 1));
     }
 
@@ -1154,7 +1119,7 @@ mod tests {
         let cons = Constraints::new(133, 1000);
         let mut p = Partition::from_assignment(vec![0, 0, 0, 1, 1, 1], 2).unwrap();
         assert_eq!(ConstrainedState::new(&g, &p).violation(&cons), 2);
-        let moves = constrained_refine(&g, &mut p, &cons, &RefineOptions::default());
+        let moves = refine(&g, &mut p, &cons, &RefineOptions::default());
         assert!(moves > 0, "the swap pass must engage");
         assert!(
             cons.is_feasible(&g, &p),
@@ -1169,7 +1134,7 @@ mod tests {
         let c = Constraints::new(30, 120);
         let mut p = Partition::from_assignment(vec![0, 0, 0, 1, 1, 1], 2).unwrap();
         assert!(c.is_feasible(&g, &p));
-        constrained_refine(&g, &mut p, &c, &RefineOptions::default());
+        refine(&g, &mut p, &c, &RefineOptions::default());
         assert!(c.is_feasible(&g, &p));
     }
 
@@ -1180,15 +1145,14 @@ mod tests {
         let g = bw_tension();
         let c = Constraints::new(30, 200);
         let mut classic = Partition::from_assignment(vec![0, 1, 0, 1, 0, 1], 2).unwrap();
-        constrained_refine(&g, &mut classic, &c, &RefineOptions::default());
+        refine(&g, &mut classic, &c, &RefineOptions::default());
         let mut warm = Partition::from_assignment(vec![0, 1, 0, 1, 0, 1], 2).unwrap();
         let reference = warm.assignment().to_vec();
-        constrained_refine_migration(
+        migrate(
             &g,
             &mut warm,
             &c,
-            &RefineOptions::default(),
-            &MigrationOptions {
+            MigrationOptions {
                 reference: &reference,
                 lambda_permille: 1000,
             },
@@ -1206,12 +1170,11 @@ mod tests {
         let reference = vec![0, 0, 0, 1, 1, 1];
         let mut p = Partition::from_assignment(reference.clone(), 2).unwrap();
         assert!(c.is_feasible(&g, &p));
-        let moves = constrained_refine_migration(
+        let moves = migrate(
             &g,
             &mut p,
             &c,
-            &RefineOptions::default(),
-            &MigrationOptions {
+            MigrationOptions {
                 reference: &reference,
                 lambda_permille: 0,
             },
@@ -1233,12 +1196,11 @@ mod tests {
         let c = Constraints::new(100, 10);
         let reference = vec![0, 1, 1, 1];
         let mut p = Partition::from_assignment(reference.clone(), 2).unwrap();
-        constrained_refine_migration(
+        migrate(
             &g,
             &mut p,
             &c,
-            &RefineOptions::default(),
-            &MigrationOptions {
+            MigrationOptions {
                 reference: &reference,
                 lambda_permille: 0,
             },
@@ -1261,12 +1223,11 @@ mod tests {
         let reference = vec![0, 0, 1, 1, 1, 0]; // nodes 2 and 5 misplaced
         let run = |lambda: u32| {
             let mut p = Partition::from_assignment(reference.clone(), 2).unwrap();
-            constrained_refine_migration(
+            migrate(
                 &g,
                 &mut p,
                 &c,
-                &RefineOptions::default(),
-                &MigrationOptions {
+                MigrationOptions {
                     reference: &reference,
                     lambda_permille: lambda,
                 },
@@ -1298,12 +1259,11 @@ mod tests {
         let c = Constraints::new(40, 1000);
         let reference = vec![0, Partition::UNASSIGNED, 1, 1];
         let mut p = Partition::from_assignment(vec![0, 1, 1, 1], 2).unwrap();
-        constrained_refine_migration(
+        migrate(
             &g,
             &mut p,
             &c,
-            &RefineOptions::default(),
-            &MigrationOptions {
+            MigrationOptions {
                 reference: &reference,
                 lambda_permille: 1,
             },
@@ -1327,7 +1287,7 @@ mod tests {
     fn single_part_is_a_no_op() {
         let g = bw_tension();
         let mut p = Partition::all_in_one(6, 1);
-        let moves = constrained_refine(
+        let moves = refine(
             &g,
             &mut p,
             &Constraints::unconstrained(),

@@ -1,6 +1,6 @@
 //! Properties of the parallel refinement engine and its serial twin.
 //!
-//! The parallel sweep ([`constrained_refine_parallel`]) frozen-evaluates
+//! The parallel sweep ([`Sweep::Parallel`]) frozen-evaluates
 //! the active set concurrently and commits serially in visit order,
 //! re-validating each candidate — so it must (a) be deterministic and
 //! independent of `RAYON_NUM_THREADS`, (b) preserve the serial engine's
@@ -12,10 +12,8 @@
 //! {1, 2, 8}); the assertions are thread-count-agnostic, so any
 //! divergence across matrix cells is a real scheduling leak.
 
-use gp_core::{
-    constrained_refine, constrained_refine_csr, constrained_refine_parallel, gp_partition,
-    ConstrainedState, GpParams, RefineOptions,
-};
+use gp_core::{constrained_refine, gp_partition, ConstrainedState, GpParams, RefineOptions, Sweep};
+use ppn_graph::arena::LevelArena;
 use ppn_graph::prng::XorShift128Plus;
 use ppn_graph::{Constraints, Csr, Partition, WeightedGraph};
 
@@ -58,12 +56,21 @@ fn constraints_for(g: &WeightedGraph, k: usize) -> Constraints {
     Constraints::new(rmax.max(1), bmax.max(1))
 }
 
-fn opts(seed: u64) -> RefineOptions {
+fn opts(seed: u64, sweep: Sweep<'static>) -> RefineOptions<'static> {
     RefineOptions {
         max_passes: 64,
         seed,
         protect_nonempty: true,
+        sweep,
     }
+}
+
+fn serial(g: &WeightedGraph, p: &mut Partition, c: &Constraints, seed: u64) -> usize {
+    constrained_refine(&Csr::from_graph(g), p, c, &opts(seed, Sweep::Serial))
+}
+
+fn parallel(g: &WeightedGraph, p: &mut Partition, c: &Constraints, seed: u64) -> usize {
+    constrained_refine(&Csr::from_graph(g), p, c, &opts(seed, Sweep::Parallel))
 }
 
 #[test]
@@ -75,8 +82,8 @@ fn parallel_refine_is_deterministic() {
         let p0 = random_partition(g.num_nodes(), k, seed ^ 0xA5);
         let mut pa = p0.clone();
         let mut pb = p0;
-        let ma = constrained_refine_parallel(&g, &mut pa, &c, &opts(seed));
-        let mb = constrained_refine_parallel(&g, &mut pb, &c, &opts(seed));
+        let ma = parallel(&g, &mut pa, &c, seed);
+        let mb = parallel(&g, &mut pb, &c, seed);
         assert_eq!(ma, mb, "seed {seed}: move counts diverged");
         assert_eq!(pa, pb, "seed {seed}: partitions diverged");
     }
@@ -89,11 +96,11 @@ fn parallel_refine_reaches_a_serial_fixed_point() {
         let k = 4;
         let c = constraints_for(&g, k);
         let mut p = random_partition(g.num_nodes(), k, seed ^ 0x5A);
-        constrained_refine_parallel(&g, &mut p, &c, &opts(seed));
+        parallel(&g, &mut p, &c, seed);
         // the parallel engine converged (64 passes is far beyond what
         // these instances need); the serial engine must find nothing
         let mut p2 = p.clone();
-        let serial_moves = constrained_refine(&g, &mut p2, &c, &opts(seed));
+        let serial_moves = serial(&g, &mut p2, &c, seed);
         assert_eq!(
             serial_moves, 0,
             "seed {seed}: serial engine moved after parallel convergence"
@@ -110,7 +117,7 @@ fn parallel_refine_never_increases_violation() {
         let c = constraints_for(&g, k);
         let mut p = random_partition(g.num_nodes(), k, seed ^ 0x33);
         let before = ConstrainedState::new(&g, &p).violation(&c);
-        constrained_refine_parallel(&g, &mut p, &c, &opts(seed));
+        parallel(&g, &mut p, &c, seed);
         let after = ConstrainedState::new(&g, &p).violation(&c);
         assert!(
             after <= before,
@@ -128,25 +135,25 @@ fn parallel_refine_keeps_feasible_feasible() {
         let c = Constraints::new(g.total_node_weight(), g.total_edge_weight());
         let mut p = random_partition(g.num_nodes(), k, seed ^ 0x77);
         assert!(c.is_feasible(&g, &p));
-        constrained_refine_parallel(&g, &mut p, &c, &opts(seed));
+        parallel(&g, &mut p, &c, seed);
         assert!(c.is_feasible(&g, &p), "seed {seed}: feasibility lost");
     }
 }
 
 #[test]
-fn csr_entry_is_bit_identical_to_graph_entry() {
+fn arena_view_is_bit_identical_to_csr_snapshot() {
     for seed in 0..6u64 {
         let g = random_graph(140, 2, seed);
         let k = 4;
         let c = constraints_for(&g, k);
         let p0 = random_partition(g.num_nodes(), k, seed ^ 0x11);
         let mut pg = p0.clone();
-        let mut pc = p0;
-        let mg = constrained_refine(&g, &mut pg, &c, &opts(seed));
-        let csr = Csr::from_graph(&g);
-        let mc = constrained_refine_csr(&csr, &mut pc, &c, &opts(seed));
-        assert_eq!(mg, mc, "seed {seed}");
-        assert_eq!(pg, pc, "seed {seed}");
+        let mut pa = p0;
+        let mg = serial(&g, &mut pg, &c, seed);
+        let arena = LevelArena::from_graph(&g);
+        let ma = constrained_refine(arena.level(0), &mut pa, &c, &opts(seed, Sweep::Serial));
+        assert_eq!(mg, ma, "seed {seed}");
+        assert_eq!(pg, pa, "seed {seed}");
     }
 }
 

@@ -1,12 +1,28 @@
 //! Property tests for the GP partitioner's invariants.
 
-use gp_core::coarsen::{gp_coarsen, run_matching};
+use gp_core::coarsen::{gp_coarsen, run_matching, FlatHierarchy};
+use gp_core::reference::{constrained_refine_reference, gp_coarsen_reference};
 use gp_core::refine::{constrained_refine, ConstrainedState, RefineOptions};
-use gp_core::refine_reference::constrained_refine_reference;
 use gp_core::{gp_partition, GpParams, MatchingKind};
 use ppn_graph::metrics::{edge_cut, PartitionQuality};
-use ppn_graph::{Constraints, NodeId, Partition, WeightedGraph};
+use ppn_graph::{Budget, Constraints, Csr, NodeId, Partition, WeightedGraph};
 use proptest::prelude::*;
+
+/// Unbudgeted, unobserved [`gp_coarsen`].
+fn coarsen(g: &WeightedGraph, target: usize, seed: u64) -> FlatHierarchy {
+    let mut res = Budget::unlimited().begin_reservation();
+    let kinds = MatchingKind::ALL;
+    gp_coarsen(
+        g,
+        &kinds,
+        target,
+        seed,
+        &Budget::unlimited(),
+        &mut res,
+        &mut |_| {},
+    )
+    .0
+}
 
 /// Random connected-ish graph strategy (spanning chain + mask edges).
 fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
@@ -116,21 +132,18 @@ proptest! {
         seed in any::<u64>(),
         target in 2usize..8
     ) {
-        let fast = gp_coarsen(&g, &MatchingKind::ALL, target, seed);
-        let slow = gp_core::gp_coarsen_reference(&g, &MatchingKind::ALL, target, seed);
-        prop_assert_eq!(fast.size_trace(), slow.size_trace());
-        prop_assert_eq!(fast.levels.len(), slow.levels.len());
-        for (a, b) in fast.levels.iter().zip(&slow.levels) {
-            prop_assert_eq!(a.matching_kind, b.matching_kind);
-            prop_assert_eq!(&a.map, &b.map);
-            let ea: Vec<_> = a.fine.edges().collect();
-            let eb: Vec<_> = b.fine.edges().collect();
+        let fast = coarsen(&g, target, seed);
+        let slow = gp_coarsen_reference(&g, &MatchingKind::ALL, target, seed);
+        prop_assert_eq!(fast.depth(), slow.len() + 1);
+        for (i, b) in slow.iter().enumerate() {
+            prop_assert_eq!(fast.winners[i], b.matching_kind);
+            prop_assert_eq!(fast.map(i), &b.map.map[..]);
+            let a = fast.level(i + 1).to_graph();
+            let ea: Vec<_> = a.edges().collect();
+            let eb: Vec<_> = b.coarse.edges().collect();
             prop_assert_eq!(ea, eb);
-            prop_assert_eq!(a.fine.node_weights(), b.fine.node_weights());
+            prop_assert_eq!(a.node_weights(), b.coarse.node_weights());
         }
-        let ea: Vec<_> = fast.coarsest().edges().collect();
-        let eb: Vec<_> = slow.coarsest().edges().collect();
-        prop_assert_eq!(ea, eb);
     }
 
     #[test]
@@ -139,8 +152,8 @@ proptest! {
         seed in any::<u64>(),
         target in 2usize..8
     ) {
-        let h = gp_coarsen(&g, &MatchingKind::ALL, target, seed);
-        prop_assert_eq!(h.coarsest().total_node_weight(), g.total_node_weight());
+        let h = coarsen(&g, target, seed);
+        prop_assert_eq!(h.coarsest_graph().total_node_weight(), g.total_node_weight());
         let trace = h.size_trace();
         prop_assert!(trace.windows(2).all(|w| w[1] < w[0]));
     }
@@ -161,7 +174,7 @@ proptest! {
         let before = ConstrainedState::new(&g, &p);
         let v_before = before.violation(&c);
         let cut_before = edge_cut(&g, &p);
-        constrained_refine(&g, &mut p, &c, &RefineOptions {
+        constrained_refine(&Csr::from_graph(&g), &mut p, &c, &RefineOptions {
             seed,
             ..Default::default()
         });
@@ -217,7 +230,7 @@ proptest! {
             (g.total_edge_weight() * bmax_frac / 8).max(1),
         );
         let mut p = arb_partition(g.num_nodes(), k, seed);
-        constrained_refine(&g, &mut p, &c, &RefineOptions {
+        constrained_refine(&Csr::from_graph(&g), &mut p, &c, &RefineOptions {
             seed,
             max_passes: 64, // far above what these sizes need to converge
             ..Default::default()

@@ -9,8 +9,9 @@
 //! Pipeline:
 //!
 //! 1. **Coarsening** — heavy-edge matching (node-scan variant) and
-//!    contraction until the graph is below `coarsen_to` nodes or stops
-//!    shrinking;
+//!    contraction in a flat [`LevelArena`] until the graph is below
+//!    `coarsen_to` nodes or stops shrinking (a matching that leaves more
+//!    than 95% of the nodes, i.e. shrinks the graph by less than 5%);
 //! 2. **Initial partitioning** — recursive bisection (greedy growing +
 //!    FM) on the coarsest graph;
 //! 3. **Un-coarsening** — projection through each level followed by
@@ -27,17 +28,18 @@
 //! `Bmax`-aware k-way repair — the Schlag-style alternative to GP's
 //! direct k-way cycle, exposed as the `rb` backend of `ppn-backend`.
 
-pub mod coarsen;
 pub mod options;
 pub mod rb;
 
 use gp_classic::bisect::recursive_bisection;
 use gp_classic::kway::{kway_refine, KwayOptions};
+use gp_classic::matching::heavy_edge_matching_node_scan;
+use ppn_graph::arena::{LevelArena, LevelView};
+use ppn_graph::matching::Matching;
 use ppn_graph::metrics::PartitionQuality;
 use ppn_graph::prng::derive_seed;
-use ppn_graph::{Partition, WeightedGraph};
+use ppn_graph::{GraphView, Partition, WeightedGraph};
 
-pub use coarsen::{coarsen_hierarchy, Hierarchy, Level};
 pub use options::MetisOptions;
 pub use rb::{rb_partition, rb_partition_budgeted, RbInfeasible, RbParams, RbResult};
 
@@ -50,6 +52,48 @@ pub struct KwayResult {
     pub quality: PartitionQuality,
     /// Number of multilevel levels used (1 = no coarsening happened).
     pub levels: usize,
+}
+
+/// One contracted level: the fine→coarse map from the graph below and
+/// the coarse graph it produced.
+pub(crate) type CoarseLevel = (Vec<u32>, WeightedGraph);
+
+/// Coarsen `g` in a [`LevelArena`] whose level 0 is `g`:
+/// `matching(top, round)` matches the top level, and the matching is
+/// contracted unless it leaves more than 95% of the level's nodes (a
+/// stall — e.g. a star matches only one pair per round). Stops at the
+/// first stall or once the top level has at most `coarsen_to` nodes.
+///
+/// The refiners downstream work on [`WeightedGraph`]s, so the contracted
+/// levels come back materialised (unlabeled, in the arena's edge-id
+/// order), finest first; `g` itself stays the caller's.
+pub(crate) fn coarsen_levels(
+    g: &WeightedGraph,
+    coarsen_to: usize,
+    mut matching: impl FnMut(LevelView<'_>, u64) -> Matching,
+) -> Vec<CoarseLevel> {
+    let mut arena = LevelArena::from_graph(g);
+    for round in 0.. {
+        let top = arena.top();
+        if top.num_nodes() <= coarsen_to {
+            break;
+        }
+        let m = matching(top, round);
+        if m.coarse_node_count() as f64 > top.num_nodes() as f64 * 0.95 {
+            break;
+        }
+        arena.contract_top(&m);
+    }
+    (1..arena.num_levels())
+        .map(|i| (arena.map_slice(i - 1).to_vec(), arena.level(i).to_graph()))
+        .collect()
+}
+
+/// The METIS-style hierarchy: node-scan heavy-edge matching per level.
+fn heavy_edge_hierarchy(g: &WeightedGraph, coarsen_to: usize, seed: u64) -> Vec<CoarseLevel> {
+    coarsen_levels(g, coarsen_to, |top, round| {
+        heavy_edge_matching_node_scan(&top, derive_seed(seed, 0xC0A5 + round))
+    })
 }
 
 /// Partition `g` into `k` parts minimising total edge cut under the
@@ -81,8 +125,8 @@ pub fn kway_partition(g: &WeightedGraph, k: usize, opts: &MetisOptions) -> KwayR
     ppn_graph::faultpoint::fault_point("metis", "kway");
     let _run = ppn_graph::trace::span("metis", "kway", n as i64);
     let sp = ppn_graph::trace::span("metis", "coarsen", n as i64);
-    let hierarchy = coarsen_hierarchy(g, opts.coarsen_to.max(2 * k), opts.seed);
-    let coarsest = hierarchy.coarsest();
+    let levels = heavy_edge_hierarchy(g, opts.coarsen_to.max(2 * k), opts.seed);
+    let coarsest = levels.last().map_or(g, |(_, coarse)| coarse);
     drop(sp);
 
     // 2. initial partitioning on the coarsest graph
@@ -103,22 +147,19 @@ pub fn kway_partition(g: &WeightedGraph, k: usize, opts: &MetisOptions) -> KwayR
     drop(sp);
 
     // 3. project back through the hierarchy, refining at each level
-    let _ref = ppn_graph::trace::span("metis", "refine", hierarchy.levels.len() as i64);
-    for (i, level) in hierarchy.levels.iter().enumerate().rev() {
+    let _ref = ppn_graph::trace::span("metis", "refine", levels.len() as i64);
+    for (i, (map, _)) in levels.iter().enumerate().rev() {
         let _lvl = ppn_graph::trace::span("metis", "level", i as i64);
-        part = part.project(&level.map.map);
-        kway_refine(
-            &level.fine,
-            &mut part,
-            &refine_opts(&level.fine, 0xF1 + i as u64),
-        );
+        part = part.project(map);
+        let fine = if i == 0 { g } else { &levels[i - 1].1 };
+        kway_refine(fine, &mut part, &refine_opts(fine, 0xF1 + i as u64));
     }
 
     let quality = PartitionQuality::measure(g, &part);
     KwayResult {
         partition: part,
         quality,
-        levels: hierarchy.levels.len() + 1,
+        levels: levels.len() + 1,
     }
 }
 
@@ -126,6 +167,78 @@ pub fn kway_partition(g: &WeightedGraph, k: usize, opts: &MetisOptions) -> KwayR
 mod tests {
     use super::*;
     use ppn_graph::metrics::{edge_cut, imbalance};
+
+    fn grid(w: usize, h: usize) -> WeightedGraph {
+        let mut g = WeightedGraph::new();
+        let n: Vec<_> = (0..w * h).map(|_| g.add_node(1)).collect();
+        for r in 0..h {
+            for c in 0..w {
+                let i = r * w + c;
+                if c + 1 < w {
+                    g.add_edge(n[i], n[i + 1], 1).unwrap();
+                }
+                if r + 1 < h {
+                    g.add_edge(n[i], n[i + w], 1).unwrap();
+                }
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn hierarchy_reaches_target_size() {
+        let g = grid(20, 20); // 400 nodes
+        let h = heavy_edge_hierarchy(&g, 100, 1);
+        assert!(h.last().unwrap().1.num_nodes() <= 100);
+        assert!(!h.is_empty());
+    }
+
+    #[test]
+    fn weights_preserved_through_hierarchy() {
+        let g = grid(16, 16);
+        let h = heavy_edge_hierarchy(&g, 50, 2);
+        for (_, coarse) in &h {
+            assert_eq!(coarse.total_node_weight(), g.total_node_weight());
+            coarse.validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn small_graph_is_not_coarsened() {
+        let g = grid(3, 3);
+        let h = heavy_edge_hierarchy(&g, 100, 3);
+        assert!(h.is_empty());
+    }
+
+    #[test]
+    fn star_graph_coarsening_terminates() {
+        // a star can only contract one pair per round: the stall guard
+        // must stop the loop
+        let mut g = WeightedGraph::new();
+        let hub = g.add_node(1);
+        for _ in 0..50 {
+            let leaf = g.add_node(1);
+            g.add_edge(hub, leaf, 1).unwrap();
+        }
+        let h = heavy_edge_hierarchy(&g, 4, 4);
+        assert!(
+            h.len() < 59,
+            "coarsening should stall-stop, got {} levels",
+            h.len()
+        );
+    }
+
+    #[test]
+    fn maps_compose_to_input_size() {
+        let g = grid(10, 10);
+        let h = heavy_edge_hierarchy(&g, 20, 5);
+        // follow node 0 down the hierarchy without panicking
+        let mut idx = 0u32;
+        for (map, _) in &h {
+            idx = map[idx as usize];
+        }
+        assert!((idx as usize) < h.last().unwrap().1.num_nodes());
+    }
 
     fn clustered(clusters: usize, size: usize) -> WeightedGraph {
         let mut g = WeightedGraph::new();

@@ -14,7 +14,8 @@
 //!    ([`Constraints::resource_budget`]) — tighter of that and the
 //!    balance cap is handed to FM as an absolute side cap;
 //! 3. **Multilevel per subproblem**: each induced subgraph is coarsened
-//!    with gp-core's best-of-three matching tournament, bisected on the
+//!    in a flat level arena with gp-core's best-of-three matching
+//!    tournament (same 95% stall rule as GP), bisected on the
 //!    coarsest graph (greedy growing + FM restarts), and FM-refined
 //!    while un-coarsening — the n-level analogue of the GP V-cycle,
 //!    applied `⌈log₂ k⌉` deep;
@@ -32,13 +33,13 @@ use gp_classic::subgraph::induced_subgraph;
 use gp_core::initial::{greedy_initial_partition, InitialOptions};
 use gp_core::params::MatchingKind;
 use gp_core::refine::{constrained_refine, RefineOptions};
-use gp_core::{gp_coarsen, PhaseSeconds};
+use gp_core::{best_matching_in, MatchScratch, PhaseSeconds};
 use ppn_graph::budget::{Budget, Degradation};
 use ppn_graph::faultpoint::{alloc_fault, fault_point};
 use ppn_graph::metrics::{CutMatrix, PartitionQuality};
 use ppn_graph::prng::derive_seed;
 use ppn_graph::trace;
-use ppn_graph::{ConstraintReport, Constraints, NodeId, Partition, WeightedGraph};
+use ppn_graph::{ConstraintReport, Constraints, Csr, NodeId, Partition, WeightedGraph};
 
 /// Parameters of [`rb_partition`].
 #[derive(Clone, Debug)]
@@ -293,7 +294,13 @@ fn rb_recurse(
     // shape-independent), bisect the coarsest graph
     fault_point("rb", "coarsen");
     let sp = trace::timed_span("rb", "coarsen", nodes.len() as i64);
-    let hier = gp_coarsen(&sub, &params.matchings, params.coarsen_to.max(4), sub_seed);
+    let mut scratch = MatchScratch::new();
+    let levels = crate::coarsen_levels(&sub, params.coarsen_to.max(4), |top, round| {
+        // gp's per-level tournament on gp's level seed stream
+        let level_seed = derive_seed(sub_seed, 0x6C + round);
+        best_matching_in(&params.matchings, &top, level_seed, &mut scratch).1
+    });
+    let coarsest = levels.last().map_or(&sub, |(_, coarse)| coarse);
     phases.coarsen_s += sp.finish();
 
     // split shapes, best-first: the balanced `⌈k/2⌉ | ⌊k/2⌋` split, and
@@ -317,7 +324,7 @@ fn rb_recurse(
         let cut_budget = c.bmax.saturating_mul(k0 as u64 * k1 as u64);
         let sp = trace::timed_span("rb", "bisect_candidates", k0 as i64);
         let mut plain = Some(bisect_candidates(
-            hier.coarsest(),
+            coarsest,
             &BisectOptions {
                 restarts: params.bisect_restarts,
                 target0_frac: k0 as f64 / k as f64,
@@ -352,7 +359,7 @@ fn rb_recurse(
             } else {
                 let sp = trace::timed_span("rb", "grouping_candidates", k as i64);
                 let p_init = greedy_initial_partition(
-                    hier.coarsest(),
+                    coarsest,
                     k,
                     c,
                     &InitialOptions {
@@ -363,7 +370,7 @@ fn rb_recurse(
                     },
                 );
                 phases.initial_s += sp.finish();
-                let n_coarse = hier.coarsest().num_nodes();
+                let n_coarse = coarsest.num_nodes();
                 part_groupings(k, k0)
                     .into_iter()
                     .map(|side0_parts| {
@@ -403,11 +410,11 @@ fn rb_recurse(
                 // FM-refining under the caps unless structure-preserving
                 let sp = trace::timed_span("rb", "fm_refine", k0 as i64);
                 let mut p2 = p0;
-                for level in hier.levels.iter().rev() {
-                    p2 = p2.project(&level.map.map);
+                for (i, (map, _)) in levels.iter().enumerate().rev() {
+                    p2 = p2.project(map);
                     if !skip_fm {
                         fm_refine_bisection(
-                            &level.fine,
+                            if i == 0 { &sub } else { &levels[i - 1].1 },
                             &mut p2,
                             &FmOptions {
                                 max_passes: params.fm_passes,
@@ -593,13 +600,13 @@ pub fn rb_partition_budgeted(
         if time_budget.is_unlimited() || !time_budget.expired() {
             let sp = trace::timed_span("rb", "kway_repair", cycle as i64);
             constrained_refine(
-                g,
+                &Csr::from_graph(g),
                 &mut p,
                 c,
                 &RefineOptions {
                     max_passes: time_budget.clamp_refine_passes(params.repair_passes),
                     seed: derive_seed(cycle_seed, 0x4EF),
-                    protect_nonempty: true,
+                    ..Default::default()
                 },
             );
             phases.refine_s += sp.finish();

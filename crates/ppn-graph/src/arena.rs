@@ -1,9 +1,9 @@
 //! Flat CSR-native level arena for the multilevel hierarchy.
 //!
-//! The Cow-based hierarchy in `gp-core` rebuilds a full [`WeightedGraph`]
-//! per level: `Vec<Vec<(NodeId, EdgeId)>>` adjacency, per-node label
-//! options, one heap allocation per node. At a million nodes the rebuild
-//! cost and pointer-chasing dominate coarsening. [`LevelArena`] stores the
+//! A hierarchy of [`WeightedGraph`]s rebuilds a full graph per level:
+//! `Vec<Vec<(NodeId, EdgeId)>>` adjacency, per-node label options, one
+//! heap allocation per node. At a million nodes the rebuild cost and
+//! pointer-chasing dominate coarsening. [`LevelArena`] stores the
 //! whole hierarchy in a handful of flat arrays instead: node weights,
 //! CSR adjacency (ids, edge ids, weights), the edge list, and the
 //! fine→coarse maps are appended level by level into shared allocations,
@@ -14,8 +14,9 @@
 //! [`contract_with`](crate::contract::contract_with) on the materialised
 //! graph — same coarse node order, same merged-edge emission order, same
 //! adjacency order (the `push_edge` order every seeded heuristic
-//! consumes). The Cow hierarchy stays alive as the property-test oracle,
-//! the same pattern as `contract_reference`. Labels are the one thing the
+//! consumes). `gp-core`'s `gp_coarsen_reference` rebuilds the same
+//! hierarchy from owned graphs as the property-test oracle, the same
+//! pattern as `contract_reference`. Labels are the one thing the
 //! flat path drops: nothing in the partitioning pipeline reads them, and
 //! carrying per-node `Option<String>` is exactly the allocation the arena
 //! exists to avoid.
@@ -369,10 +370,11 @@ impl<'a> LevelView<'a> {
         self.vwgt.iter().sum()
     }
 
-    /// Materialise the level as a [`WeightedGraph`] (unlabeled). Used
-    /// for the coarsest level, where the initial partitioner wants an
-    /// owned graph; identical structure to what the Cow hierarchy holds
-    /// at that level.
+    /// Materialise the level as a [`WeightedGraph`] (unlabeled), in the
+    /// arena's edge-id order — for the consumers that want an owned
+    /// graph (gp's initial partitioner on the coarsest level, the FM and
+    /// k-way refiners of `rb` and `metis`); identical structure to what
+    /// `contract_with` produces at that level.
     pub fn to_graph(&self) -> WeightedGraph {
         let mut g = WeightedGraph::new();
         for &w in self.vwgt {

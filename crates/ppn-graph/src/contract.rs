@@ -240,7 +240,7 @@ pub fn contract(g: &WeightedGraph, matching: &Matching) -> (WeightedGraph, Coars
 /// and merge parallels with `add_or_merge_edge`, which probes the coarse
 /// adjacency list per edge (O(E · coarse degree) worst case). Preserved
 /// verbatim as the property-test oracle and the perf-harness baseline —
-/// the same precedent as `gp-core::refine_reference`.
+/// the same precedent as `gp-core`'s `constrained_refine_reference`.
 pub fn contract_reference(g: &WeightedGraph, matching: &Matching) -> (WeightedGraph, CoarseMap) {
     assert_eq!(matching.len(), g.num_nodes(), "matching/graph mismatch");
     let n = g.num_nodes();

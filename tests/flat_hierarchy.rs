@@ -1,22 +1,24 @@
-//! Flat-arena hierarchy vs Cow-based reference, across the conformance
-//! instance families.
+//! The shipping GP hierarchy vs its reference oracle, across the
+//! conformance instance families.
 //!
-//! `gp_coarsen_flat` appends compact CSR levels into one arena instead
-//! of rebuilding a `WeightedGraph` per level — but it runs the identical
-//! tournament, seeds, and stall rule, so the hierarchy it produces must
-//! be *bit-identical* to the Cow path: same size trace, same per-level
-//! fine→coarse maps, same winning heuristics, same coarse adjacency.
-//! This suite pins that equivalence over every conformance instance
-//! family (paper experiments, communities, multicast stars, chains,
-//! cliques, degenerate shapes), re-generated per `CONFORMANCE_SEED` in
-//! the CI seed matrix — the same oracle pattern `contract_reference`
-//! and `gp_coarsen_reference` establish one layer down.
+//! `gp_coarsen` appends compact CSR levels into one flat arena;
+//! `gp_coarsen_reference` rebuilds every level as an owned
+//! `WeightedGraph` with the original Lloyd-scan k-means,
+//! `contract_reference` and absorbed-weight rescans. Both run the same
+//! tournament, seeds and stall rule, so the hierarchies must be
+//! *bit-identical*: same size trace, same per-level fine→coarse maps,
+//! same winning heuristics, same coarse adjacency. This suite pins that
+//! equivalence over every conformance instance family (paper
+//! experiments, communities, multicast stars, chains, cliques,
+//! degenerate shapes), re-generated per `CONFORMANCE_SEED` in the CI
+//! seed matrix.
 
-use ppn_partition::gp_core::{gp_coarsen, gp_coarsen_flat, gp_partition, GpParams};
+use ppn_partition::gp_core::{gp_coarsen, gp_coarsen_reference, gp_partition, GpParams};
 use ppn_partition::ppn_backend::{conformance_matrix, degenerate_matrix};
 use ppn_partition::ppn_graph::io::metis;
 use ppn_partition::ppn_graph::metrics::PartitionQuality;
-use ppn_partition::PartitionInstance;
+use ppn_partition::ppn_graph::Budget;
+use ppn_partition::{PartitionInstance, WeightedGraph};
 
 fn matrix_seed() -> u64 {
     std::env::var("CONFORMANCE_SEED")
@@ -32,41 +34,53 @@ fn all_instances(seed: u64) -> Vec<PartitionInstance> {
     m
 }
 
-/// Assert the flat hierarchy is bit-identical to the Cow hierarchy for
-/// one instance × (coarsen_to, seed) cell.
+/// Assert the shipping hierarchy is bit-identical to the reference
+/// oracle for one instance × (coarsen_to, seed) cell.
 fn assert_hierarchies_identical(inst: &PartitionInstance, coarsen_to: usize, seed: u64) {
     let kinds = GpParams::default().effective_matchings();
     let ctx = format!("{} (coarsen_to {coarsen_to}, seed {seed})", inst.name);
 
-    let cow = gp_coarsen(&inst.graph, &kinds, coarsen_to, seed);
-    let flat = gp_coarsen_flat(&inst.graph, &kinds, coarsen_to, seed);
+    let unlimited = Budget::unlimited();
+    let mut res = unlimited.begin_reservation();
+    let (flat, cut_short) = gp_coarsen(
+        &inst.graph,
+        &kinds,
+        coarsen_to,
+        seed,
+        &unlimited,
+        &mut res,
+        &mut |_| {},
+    );
+    assert_eq!(cut_short, None, "{ctx}: unlimited budget cut coarsening");
+    let oracle = gp_coarsen_reference(&inst.graph, &kinds, coarsen_to, seed);
+    let graphs: Vec<&WeightedGraph> = std::iter::once(&inst.graph)
+        .chain(oracle.iter().map(|l| &l.coarse))
+        .collect();
 
-    assert_eq!(cow.depth(), flat.depth(), "{ctx}: depth");
-    assert_eq!(cow.size_trace(), flat.size_trace(), "{ctx}: size trace");
+    assert_eq!(graphs.len(), flat.depth(), "{ctx}: depth");
+    let sizes: Vec<usize> = graphs.iter().map(|g| g.num_nodes()).collect();
+    assert_eq!(sizes, flat.size_trace(), "{ctx}: size trace");
 
-    let winners: Vec<_> = cow.levels.iter().map(|l| l.matching_kind).collect();
+    let winners: Vec<_> = oracle.iter().map(|l| l.matching_kind).collect();
     assert_eq!(winners, flat.winners, "{ctx}: tournament winners");
 
-    for (i, level) in cow.levels.iter().enumerate() {
+    for (i, level) in oracle.iter().enumerate() {
         assert_eq!(
             level.map.map,
             flat.map(i),
             "{ctx}: fine→coarse map at level {i}"
         );
-        // adjacency of every intermediate graph, via the canonical
-        // METIS serialisation (node weights, neighbor order, edge
-        // weights all captured)
+    }
+    for (i, g) in graphs.iter().enumerate() {
+        // adjacency of every graph, via the canonical METIS
+        // serialisation (node weights, neighbor order, edge weights all
+        // captured)
         assert_eq!(
-            metis::write(&level.fine),
+            metis::write(g),
             metis::write(&flat.level(i).to_graph()),
             "{ctx}: level {i} adjacency"
         );
     }
-    assert_eq!(
-        metis::write(cow.coarsest()),
-        metis::write(&flat.coarsest_graph()),
-        "{ctx}: coarsest adjacency"
-    );
 }
 
 #[test]

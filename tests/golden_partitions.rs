@@ -18,11 +18,12 @@
 //! through at least two levels (asserted below), so the pin covers the
 //! hierarchy code and not only the small instances that never coarsen.
 
-use ppn_partition::gp_core::{gp_coarsen, GpParams};
+use ppn_partition::gp_core::{gp_coarsen, GpParams, MatchingKind};
 use ppn_partition::metis_lite::{kway_partition, MetisOptions, RbParams};
 use ppn_partition::ppn_backend::{backends, conformance_matrix, degenerate_matrix};
 use ppn_partition::ppn_gen::{random_graph, RandomGraphSpec};
-use ppn_partition::{Constraints, PartitionInstance, PartitionOutcome};
+use ppn_partition::ppn_graph::Budget;
+use ppn_partition::{Constraints, PartitionInstance, PartitionOutcome, WeightedGraph};
 use std::fmt::Write as _;
 
 const FIXTURE: &str = include_str!("fixtures/golden_partitions.txt");
@@ -76,6 +77,26 @@ fn instances(seed: u64) -> Vec<PartitionInstance> {
     m
 }
 
+/// gp's unbudgeted coarsening size trace, finest first.
+fn size_trace(
+    g: &WeightedGraph,
+    kinds: &[MatchingKind],
+    coarsen_to: usize,
+    seed: u64,
+) -> Vec<usize> {
+    let mut res = Budget::unlimited().begin_reservation();
+    let (h, _) = gp_coarsen(
+        g,
+        kinds,
+        coarsen_to,
+        seed,
+        &Budget::unlimited(),
+        &mut res,
+        &mut |_| {},
+    );
+    h.size_trace()
+}
+
 fn trace_str(t: &[usize]) -> String {
     t.iter()
         .map(|n| n.to_string())
@@ -102,8 +123,7 @@ fn every_backend_matches_the_golden_fixture() {
                 )
                 .unwrap();
             }
-            let gp_trace = gp_coarsen(&inst.graph, &gp.effective_matchings(), gp.coarsen_to, seed)
-                .size_trace();
+            let gp_trace = size_trace(&inst.graph, &gp.effective_matchings(), gp.coarsen_to, seed);
             writeln!(table, "gp-trace {seed} {name} {}", trace_str(&gp_trace)).unwrap();
             let levels = kway_partition(
                 &inst.graph,
@@ -124,8 +144,7 @@ fn every_backend_matches_the_golden_fixture() {
                 );
                 // rb's root subproblem is the whole graph, coarsened by
                 // gp's matching tournament down to rb's floor
-                let rb_trace =
-                    gp_coarsen(&inst.graph, &rb.matchings, rb.coarsen_to.max(4), seed).size_trace();
+                let rb_trace = size_trace(&inst.graph, &rb.matchings, rb.coarsen_to.max(4), seed);
                 assert!(
                     rb_trace.len() >= 3,
                     "{name}: rb must coarsen through >= 2 levels: {rb_trace:?}"

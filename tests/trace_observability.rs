@@ -160,7 +160,7 @@ fn gp_span_tree_is_well_formed_and_nested() {
 #[test]
 fn gain_histograms_record_committed_moves() {
     use gp_core::refine::{constrained_refine, RefineOptions};
-    use ppn_graph::WeightedGraph;
+    use ppn_graph::{Csr, WeightedGraph};
 
     let mut g = WeightedGraph::new();
     let ids: Vec<_> = (0..12).map(|_| g.add_node(2)).collect();
@@ -180,15 +180,16 @@ fn gain_histograms_record_committed_moves() {
     }
     let c = Constraints::new(1000, 1000);
 
+    let csr = Csr::from_graph(&g);
     let armed = arm(TraceConfig::default());
     constrained_refine(
-        &g,
+        &csr,
         &mut p,
         &c,
         &RefineOptions {
             max_passes: 8,
             seed: 7,
-            protect_nonempty: true,
+            ..Default::default()
         },
     );
     let session = armed.stop();
