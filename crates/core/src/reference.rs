@@ -5,9 +5,10 @@
 //! * [`gp_coarsen_reference`] rebuilds the GP hierarchy level by level
 //!   as owned [`WeightedGraph`]s, with the original O(n·k) Lloyd-scan
 //!   k-means, `find_edge`-probing [`contract_reference`] and
-//!   [`Matching::absorbed_weight`] rescans, in its own tournament loop.
-//!   It must produce the bit-identical size trace, maps, winners and
-//!   coarse structure as [`gp_coarsen`](crate::coarsen::gp_coarsen).
+//!   [`Matching::absorbed_weight`](ppn_graph::matching::Matching::absorbed_weight)
+//!   rescans, in its own tournament loop. It must produce the
+//!   bit-identical size trace, maps, winners and coarse structure as
+//!   [`gp_coarsen`](crate::coarsen::gp_coarsen).
 //! * [`constrained_refine_reference`] is the pre-optimisation full-sweep
 //!   refinement, kept verbatim in behaviour *and* asymptotics so the
 //!   `perf` harness (ppn-bench) can price the boundary-driven rewrite:
