@@ -10,7 +10,7 @@ use metis_lite::{kway_partition, rb_partition_budgeted, MetisOptions, RbParams};
 use ppn_graph::faultpoint::alloc_fault;
 use ppn_graph::prng::derive_seed;
 use ppn_graph::trace;
-use ppn_graph::{Budget, Degradation, Partition};
+use ppn_graph::{Budget, Csr, Degradation, Partition};
 use ppn_hyper::{hyper_partition_budgeted, HyperParams};
 
 /// Contiguous-fill fallback for budgetless engines (`kway`, `metis`)
@@ -224,15 +224,16 @@ impl Partitioner for KwayBackend {
         }
         let _run = trace::span("kway", "partition", g.num_nodes() as i64);
         let sp = trace::timed_span("kway", "bisect", k as i64);
-        let mut p = recursive_bisection(g, k, self.balance, seed);
+        let csr = Csr::from_graph(g);
+        let mut p = recursive_bisection(csr.view(), k, self.balance, seed);
         let bisect_s = sp.finish();
         let mut degraded = None;
         let sp = trace::timed_span("kway", "refine", k as i64);
         if budget.is_unlimited() || !budget.expired() {
-            let mut opts = KwayOptions::balanced(g, k, self.balance);
+            let mut opts = KwayOptions::balanced(csr.view(), k, self.balance);
             opts.max_passes = budget.clamp_refine_passes(self.refine_passes);
             opts.seed = derive_seed(seed, 0x4B);
-            kway_refine(g, &mut p, &opts);
+            kway_refine(csr.view(), &mut p, &opts);
         } else {
             degraded = Some(Degradation::new(
                 "refine",

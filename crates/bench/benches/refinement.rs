@@ -33,7 +33,11 @@ fn bench_refinement(c: &mut Criterion) {
     group.bench_function("kway_refine_unconstrained", |b| {
         b.iter(|| {
             let mut p = start.clone();
-            kway_refine(&g, &mut p, &KwayOptions::balanced(&g, k, 1.3))
+            kway_refine(
+                csr.view(),
+                &mut p,
+                &KwayOptions::balanced(csr.view(), k, 1.3),
+            )
         })
     });
     group.bench_function("gp_single_cycle", |b| {

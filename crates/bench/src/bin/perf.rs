@@ -312,10 +312,10 @@ fn measure(w: &Workload, reps: usize) -> serde_json::Value {
         serde_json::Value::Null
     };
     let hierarchy = hierarchy_footprint(&hier);
-    let coarsest = hier.coarsest_graph();
+    let coarsest = hier.level(hier.depth() - 1).csr_view();
     let (initial_s, p0) = time_best(reps, || {
         greedy_initial_partition(
-            &coarsest,
+            coarsest,
             w.k,
             &w.cons,
             &InitialOptions {

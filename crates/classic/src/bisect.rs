@@ -5,14 +5,14 @@
 //! log₂(k) deep, splitting the target part count (and therefore weight
 //! share) as evenly as possible — the standard initial-partitioning
 //! pipeline of multilevel k-way partitioners, including METIS and the
-//! paper's GP.
+//! paper's GP. Each half is bisected on its own induced subproblem,
+//! written straight into a level arena by [`LevelArena::induced`].
 
 use crate::fm::{fm_refine_bisection, FmOptions};
 use crate::grow::greedy_grow_bisection;
-use crate::subgraph::induced_subgraph;
-use ppn_graph::metrics::edge_cut;
+use ppn_graph::metrics::{part_weights_csr, CutMatrix};
 use ppn_graph::prng::{derive_seed, XorShift128Plus};
-use ppn_graph::{NodeId, Partition, WeightedGraph};
+use ppn_graph::{CsrView, LevelArena, NodeId, Partition};
 
 /// Options for [`bisect`].
 #[derive(Clone, Debug)]
@@ -65,7 +65,7 @@ pub struct Bisection {
 
 /// Bisect `g` by growing from random seeds and refining with FM; the best
 /// (feasible first, then lowest-cut) candidate wins.
-pub fn bisect(g: &WeightedGraph, opts: &BisectOptions) -> Bisection {
+pub fn bisect(g: CsrView<'_>, opts: &BisectOptions) -> Bisection {
     bisect_candidates(g, opts)
         .into_iter()
         .next()
@@ -76,7 +76,7 @@ pub fn bisect(g: &WeightedGraph, opts: &BisectOptions) -> Bisection {
 /// candidates before infeasible ones, then by cut, ties in restart
 /// order). Constrained recursive bisection branches over this list when
 /// the top candidate dooms a descendant subproblem.
-pub fn bisect_candidates(g: &WeightedGraph, opts: &BisectOptions) -> Vec<Bisection> {
+pub fn bisect_candidates(g: CsrView<'_>, opts: &BisectOptions) -> Vec<Bisection> {
     let n = g.num_nodes();
     if n == 0 {
         return vec![Bisection {
@@ -103,9 +103,8 @@ pub fn bisect_candidates(g: &WeightedGraph, opts: &BisectOptions) -> Vec<Bisecti
         // restart 0 always starts from the heaviest node for
         // reproducibility; later restarts are random
         let seed_node = if r == 0 {
-            g.node_ids()
-                .max_by_key(|&v| (g.node_weight(v), std::cmp::Reverse(v.0)))
-                .unwrap()
+            let heaviest = (0..n).max_by_key(|&v| (g.vwgt[v], std::cmp::Reverse(v)));
+            NodeId::from_index(heaviest.unwrap())
         } else {
             NodeId::from_index(rng.next_below(n))
         };
@@ -119,8 +118,8 @@ pub fn bisect_candidates(g: &WeightedGraph, opts: &BisectOptions) -> Vec<Bisecti
             }
             fm_refine_bisection(g, &mut p, &fm_opts);
         }
-        let w = p.part_weights(g);
-        let cut = edge_cut(g, &p);
+        let w = part_weights_csr(g, &p);
+        let cut = CutMatrix::compute_csr(g, &p).total_cut();
         let feasible =
             w[0] <= caps[0] && w[1] <= caps[1] && opts.max_cut.is_none_or(|mc| cut <= mc);
         if !candidates.iter().any(|(_, _, q)| *q == p) {
@@ -138,16 +137,16 @@ pub fn bisect_candidates(g: &WeightedGraph, opts: &BisectOptions) -> Vec<Bisecti
 /// Recursively bisect `g` into `k` parts. The weight share assigned to
 /// each half is proportional to the number of final parts it will hold,
 /// so non-power-of-two `k` stays balanced.
-pub fn recursive_bisection(g: &WeightedGraph, k: usize, balance: f64, seed: u64) -> Partition {
+pub fn recursive_bisection(g: CsrView<'_>, k: usize, balance: f64, seed: u64) -> Partition {
     assert!(k >= 1, "k must be at least 1");
     let mut p = Partition::unassigned(g.num_nodes(), k);
-    let all: Vec<NodeId> = g.node_ids().collect();
+    let all: Vec<NodeId> = (0..g.num_nodes()).map(NodeId::from_index).collect();
     rb_recurse(g, &all, k, 0, balance, seed, &mut p);
     p
 }
 
 fn rb_recurse(
-    g: &WeightedGraph,
+    g: CsrView<'_>,
     nodes: &[NodeId],
     k: usize,
     part_base: u32,
@@ -162,7 +161,7 @@ fn rb_recurse(
         // leftover parts (k > 1 but nothing to split) stay empty
         return;
     }
-    let (sub, back) = induced_subgraph(g, nodes);
+    let sub = LevelArena::induced(g, nodes);
     let k0 = k.div_ceil(2);
     let k1 = k - k0;
     let opts = BisectOptions {
@@ -174,10 +173,10 @@ fn rb_recurse(
         max_side_weight: None,
         max_cut: None,
     };
-    let bi = bisect(&sub, &opts);
+    let bi = bisect(sub.level(0).csr_view(), &opts);
     let mut side0 = Vec::new();
     let mut side1 = Vec::new();
-    for (i, &orig) in back.iter().enumerate() {
+    for (i, &orig) in nodes.iter().enumerate() {
         if bi.partition.part_of(NodeId::from_index(i)) == 0 {
             side0.push(orig);
         } else {
@@ -191,7 +190,8 @@ fn rb_recurse(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppn_graph::metrics::imbalance;
+    use ppn_graph::metrics::{edge_cut, imbalance};
+    use ppn_graph::{Csr, WeightedGraph};
 
     fn ladder(n: usize) -> WeightedGraph {
         // two parallel paths with rungs: 2n nodes
@@ -210,7 +210,8 @@ mod tests {
     #[test]
     fn bisect_is_complete_and_balanced() {
         let g = ladder(8);
-        let b = bisect(&g, &BisectOptions::default());
+        let csr = Csr::from_graph(&g);
+        let b = bisect(csr.view(), &BisectOptions::default());
         assert!(b.partition.is_complete());
         assert!(imbalance(&g, &b.partition) <= 1.1);
         assert_eq!(b.cut, edge_cut(&g, &b.partition));
@@ -219,8 +220,9 @@ mod tests {
     #[test]
     fn recursive_bisection_uses_all_parts() {
         let g = ladder(8);
+        let csr = Csr::from_graph(&g);
         for k in [2, 3, 4, 5] {
-            let p = recursive_bisection(&g, k, 1.1, 7);
+            let p = recursive_bisection(csr.view(), k, 1.1, 7);
             assert!(p.is_complete(), "k={k}");
             let sizes = p.part_sizes();
             assert_eq!(sizes.len(), k);
@@ -234,7 +236,8 @@ mod tests {
     #[test]
     fn recursive_bisection_is_roughly_balanced() {
         let g = ladder(16);
-        let p = recursive_bisection(&g, 4, 1.1, 3);
+        let csr = Csr::from_graph(&g);
+        let p = recursive_bisection(csr.view(), 4, 1.1, 3);
         let w = p.part_weights(&g);
         let max = *w.iter().max().unwrap();
         let min = *w.iter().min().unwrap();
@@ -247,7 +250,8 @@ mod tests {
     #[test]
     fn k1_puts_everything_in_part_zero() {
         let g = ladder(4);
-        let p = recursive_bisection(&g, 1, 1.05, 9);
+        let csr = Csr::from_graph(&g);
+        let p = recursive_bisection(csr.view(), 1, 1.05, 9);
         assert!(p.is_complete());
         assert!(p.assignment().iter().all(|&a| a == 0));
     }
@@ -255,8 +259,9 @@ mod tests {
     #[test]
     fn bisect_deterministic_per_seed() {
         let g = ladder(6);
-        let a = bisect(&g, &BisectOptions::default());
-        let b = bisect(&g, &BisectOptions::default());
+        let csr = Csr::from_graph(&g);
+        let a = bisect(csr.view(), &BisectOptions::default());
+        let b = bisect(csr.view(), &BisectOptions::default());
         assert_eq!(a.partition, b.partition);
         assert_eq!(a.cut, b.cut);
     }
@@ -264,11 +269,12 @@ mod tests {
     #[test]
     fn asymmetric_target_respected() {
         let g = ladder(8); // total weight 16
+        let csr = Csr::from_graph(&g);
         let opts = BisectOptions {
             target0_frac: 0.25,
             ..Default::default()
         };
-        let b = bisect(&g, &opts);
+        let b = bisect(csr.view(), &opts);
         let w = b.partition.part_weights(&g);
         assert!(w[0] <= 6, "side 0 should hold ~4 of 16: {w:?}");
         assert!(w[0] >= 2, "side 0 shouldn't be empty-ish: {w:?}");
@@ -277,11 +283,12 @@ mod tests {
     #[test]
     fn candidates_are_distinct_and_lead_with_the_winner() {
         let g = ladder(8);
-        let cands = bisect_candidates(&g, &BisectOptions::default());
+        let csr = Csr::from_graph(&g);
+        let cands = bisect_candidates(csr.view(), &BisectOptions::default());
         assert!(!cands.is_empty());
         assert_eq!(
             cands[0].partition,
-            bisect(&g, &BisectOptions::default()).partition
+            bisect(csr.view(), &BisectOptions::default()).partition
         );
         for i in 0..cands.len() {
             for j in (i + 1)..cands.len() {
@@ -293,31 +300,33 @@ mod tests {
     #[test]
     fn cut_budget_demotes_over_budget_candidates() {
         let g = ladder(8);
-        let unbounded = bisect(&g, &BisectOptions::default());
+        let csr = Csr::from_graph(&g);
+        let unbounded = bisect(csr.view(), &BisectOptions::default());
         // a budget below the best cut makes every candidate infeasible —
         // selection still returns the lowest-cut one
         let opts = BisectOptions {
             max_cut: Some(unbounded.cut.saturating_sub(1)),
             ..Default::default()
         };
-        let bounded = bisect(&g, &opts);
+        let bounded = bisect(csr.view(), &opts);
         assert_eq!(bounded.cut, unbounded.cut);
         // a generous budget changes nothing
         let opts = BisectOptions {
             max_cut: Some(u64::MAX),
             ..Default::default()
         };
-        assert_eq!(bisect(&g, &opts).partition, unbounded.partition);
+        assert_eq!(bisect(csr.view(), &opts).partition, unbounded.partition);
     }
 
     #[test]
     fn absolute_side_caps_override_balance() {
         let g = ladder(8); // total weight 16, uniform
+        let csr = Csr::from_graph(&g);
         let opts = BisectOptions {
             max_side_weight: Some([5, 16]),
             ..Default::default()
         };
-        let b = bisect(&g, &opts);
+        let b = bisect(csr.view(), &opts);
         let w = b.partition.part_weights(&g);
         assert!(w[0] <= 5, "side 0 must respect its absolute cap: {w:?}");
         assert!(b.partition.is_complete());
@@ -326,7 +335,8 @@ mod tests {
     #[test]
     fn single_node_graph() {
         let g = WeightedGraph::with_uniform_nodes(1, 5);
-        let p = recursive_bisection(&g, 2, 1.05, 1);
+        let csr = Csr::from_graph(&g);
+        let p = recursive_bisection(csr.view(), 2, 1.05, 1);
         assert!(p.is_complete());
     }
 }

@@ -9,8 +9,8 @@
 //! linear in the number of edge endpoints touched.
 
 use crate::gain::GainHeap;
-use ppn_graph::metrics::edge_cut;
-use ppn_graph::{NodeId, Partition, WeightedGraph};
+use ppn_graph::metrics::{part_weights_csr, CutMatrix};
+use ppn_graph::{CsrView, NodeId, Partition};
 
 /// Options for a two-way FM refinement.
 #[derive(Clone, Debug)]
@@ -31,7 +31,7 @@ pub struct FmOptions {
 
 impl FmOptions {
     /// Balanced caps: each side may hold `balance × total/2`.
-    pub fn balanced(g: &WeightedGraph, balance: f64) -> Self {
+    pub fn balanced(g: CsrView<'_>, balance: f64) -> Self {
         let half = g.total_node_weight() as f64 / 2.0;
         let cap = (half * balance).ceil() as u64;
         FmOptions {
@@ -58,12 +58,12 @@ pub struct FmOutcome {
 
 /// Gain of moving `v` to the other side: external minus internal
 /// connection weight.
-fn node_gain(g: &WeightedGraph, p: &Partition, v: NodeId) -> i64 {
+fn node_gain(g: CsrView<'_>, p: &Partition, v: NodeId) -> i64 {
     let side = p.part_of(v);
     let mut gain = 0i64;
-    for &(u, e) in g.neighbors(v) {
-        let w = g.edge_weight(e) as i64;
-        if p.part_of(u) == side {
+    for (u, w) in g.neighbor_iter(v.index()) {
+        let w = w as i64;
+        if p.part_of(NodeId::from_index(u)) == side {
             gain -= w;
         } else {
             gain += w;
@@ -113,12 +113,13 @@ fn violation(weights: &[u64; 2], caps: &[u64; 2]) -> u64 {
 /// Refine a complete 2-way partition in place. Returns pass statistics.
 ///
 /// Panics if `p` is not a complete bisection of `g`.
-pub fn fm_refine_bisection(g: &WeightedGraph, p: &mut Partition, opts: &FmOptions) -> FmOutcome {
+pub fn fm_refine_bisection(g: CsrView<'_>, p: &mut Partition, opts: &FmOptions) -> FmOutcome {
     assert_eq!(p.k(), 2, "FM refines bisections");
-    p.check_against(g).expect("partition matches graph");
+    assert_eq!(p.len(), g.num_nodes(), "partition matches graph");
     assert!(p.is_complete(), "FM needs a complete partition");
 
-    let initial_cut = edge_cut(g, p);
+    let cut_of = |p: &Partition| CutMatrix::compute_csr(g, p).total_cut();
+    let initial_cut = cut_of(p);
     let mut cur_cut = initial_cut;
     let mut passes = 0;
     let mut moves_applied = 0;
@@ -130,7 +131,7 @@ pub fn fm_refine_bisection(g: &WeightedGraph, p: &mut Partition, opts: &FmOption
         let pass_start_cut = cur_cut;
 
         let mut weights = {
-            let w = p.part_weights(g);
+            let w = part_weights_csr(g, p);
             [w[0], w[1]]
         };
         let mut sizes = {
@@ -143,7 +144,7 @@ pub fn fm_refine_bisection(g: &WeightedGraph, p: &mut Partition, opts: &FmOption
         let mut heaps = [GainHeap::new(g.num_nodes()), GainHeap::new(g.num_nodes())];
         let mut gains: Vec<i64> = vec![0; g.num_nodes()];
         let mut locked = vec![false; g.num_nodes()];
-        for v in g.node_ids() {
+        for v in (0..g.num_nodes()).map(NodeId::from_index) {
             let gain = node_gain(g, p, v);
             gains[v.index()] = gain;
             heaps[p.part_of(v) as usize].update(v.0, gain);
@@ -164,7 +165,7 @@ pub fn fm_refine_bisection(g: &WeightedGraph, p: &mut Partition, opts: &FmOption
                 // formulation): a deeper element could be admissible but
                 // checking it would break the linear pass bound.
                 if let Some((gain, v)) = heaps[s].peek() {
-                    let wv = g.node_weight(NodeId(v));
+                    let wv = g.vwgt[v as usize];
                     if admissible(
                         &weights,
                         &sizes,
@@ -186,7 +187,7 @@ pub fn fm_refine_bisection(g: &WeightedGraph, p: &mut Partition, opts: &FmOption
             let t = 1 - s;
             let (_, v) = heaps[s].pop().expect("peeked entry");
             let v = NodeId(v);
-            let wv = g.node_weight(v);
+            let wv = g.vwgt[v.index()];
 
             // apply tentatively
             locked[v.index()] = true;
@@ -198,17 +199,17 @@ pub fn fm_refine_bisection(g: &WeightedGraph, p: &mut Partition, opts: &FmOption
             cur_cut = (cur_cut as i64 - gain) as u64;
 
             // update unlocked neighbour gains
-            for &(u, e) in g.neighbors(v) {
-                if locked[u.index()] {
+            for (u, w) in g.neighbor_iter(v.index()) {
+                if locked[u] {
                     continue;
                 }
-                let w = g.edge_weight(e) as i64;
-                let us = p.part_of(u) as usize;
+                let w = w as i64;
+                let us = p.part_of(NodeId::from_index(u)) as usize;
                 // v left u's side (us == s): edge was internal, now external → +2w
                 // v joined u's side (us == t): edge was external, now internal → -2w
                 let delta = if us == s { 2 * w } else { -2 * w };
-                gains[u.index()] += delta;
-                heaps[us].update(u.0, gains[u.index()]);
+                gains[u] += delta;
+                heaps[us].update(u as u32, gains[u]);
             }
 
             seq.push((v, s as u32));
@@ -222,7 +223,7 @@ pub fn fm_refine_bisection(g: &WeightedGraph, p: &mut Partition, opts: &FmOption
         let mut best_viol = {
             let mut w = weights;
             for &(v, from) in seq.iter().rev() {
-                let wv = g.node_weight(v);
+                let wv = g.vwgt[v.index()];
                 let from = from as usize;
                 w[from] += wv;
                 w[1 - from] -= wv;
@@ -256,7 +257,7 @@ pub fn fm_refine_bisection(g: &WeightedGraph, p: &mut Partition, opts: &FmOption
         }
     }
 
-    debug_assert_eq!(cur_cut, edge_cut(g, p), "incremental cut drifted");
+    debug_assert_eq!(cur_cut, cut_of(p), "incremental cut drifted");
     FmOutcome {
         initial_cut,
         final_cut: cur_cut,
@@ -268,6 +269,8 @@ pub fn fm_refine_bisection(g: &WeightedGraph, p: &mut Partition, opts: &FmOption
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppn_graph::metrics::edge_cut;
+    use ppn_graph::{Csr, WeightedGraph};
 
     /// Two K3 clusters joined by a light bridge; optimal bisection cuts
     /// only the bridge.
@@ -286,8 +289,8 @@ mod tests {
         let g = two_triangles();
         // bad start: split across the clusters
         let mut p = Partition::from_assignment(vec![0, 1, 0, 1, 0, 1], 2).unwrap();
-        let opts = FmOptions::balanced(&g, 1.05);
-        let out = fm_refine_bisection(&g, &mut p, &opts);
+        let opts = FmOptions::balanced(Csr::from_graph(&g).view(), 1.05);
+        let out = fm_refine_bisection(Csr::from_graph(&g).view(), &mut p, &opts);
         assert_eq!(out.final_cut, 1, "should isolate the bridge");
         assert!(out.final_cut <= out.initial_cut);
         // balanced: 30/31 split within 5%
@@ -301,8 +304,8 @@ mod tests {
         let g = two_triangles();
         // already optimal
         let mut p = Partition::from_assignment(vec![0, 0, 0, 1, 1, 1], 2).unwrap();
-        let opts = FmOptions::balanced(&g, 1.05);
-        let out = fm_refine_bisection(&g, &mut p, &opts);
+        let opts = FmOptions::balanced(Csr::from_graph(&g).view(), 1.05);
+        let out = fm_refine_bisection(Csr::from_graph(&g).view(), &mut p, &opts);
         assert_eq!(out.initial_cut, 1);
         assert_eq!(out.final_cut, 1);
     }
@@ -316,7 +319,7 @@ mod tests {
             max_side_weight: [30, 30],
             allow_empty_side: false,
         };
-        fm_refine_bisection(&g, &mut p, &opts);
+        fm_refine_bisection(Csr::from_graph(&g).view(), &mut p, &opts);
         let w = p.part_weights(&g);
         assert!(w[0] <= 30 && w[1] <= 30, "caps violated: {w:?}");
     }
@@ -331,7 +334,7 @@ mod tests {
             max_side_weight: [35, 35],
             allow_empty_side: false,
         };
-        fm_refine_bisection(&g, &mut p, &opts);
+        fm_refine_bisection(Csr::from_graph(&g).view(), &mut p, &opts);
         let w = p.part_weights(&g);
         assert!(w[0] <= 35 && w[1] <= 35, "escape mode failed: {w:?}");
     }
@@ -350,7 +353,7 @@ mod tests {
             max_side_weight: [2, 2],
             allow_empty_side: false,
         };
-        let out = fm_refine_bisection(&g, &mut p, &opts);
+        let out = fm_refine_bisection(Csr::from_graph(&g).view(), &mut p, &opts);
         assert_eq!(out.final_cut, 100);
         assert_eq!(p.part_sizes(), vec![1, 1]);
     }
@@ -368,9 +371,10 @@ mod tests {
         g.add_edge(hub, l2, 1).unwrap();
         g.add_edge(hub, l3, 1).unwrap();
         let p = Partition::from_assignment(vec![0, 1, 0, 0], 2).unwrap();
-        assert_eq!(node_gain(&g, &p, hub), 98);
-        assert_eq!(node_gain(&g, &p, l1), 100);
-        assert_eq!(node_gain(&g, &p, l2), -1);
+        let csr = Csr::from_graph(&g);
+        assert_eq!(node_gain(csr.view(), &p, hub), 98);
+        assert_eq!(node_gain(csr.view(), &p, l1), 100);
+        assert_eq!(node_gain(csr.view(), &p, l2), -1);
     }
 
     #[test]
@@ -378,7 +382,8 @@ mod tests {
         let g = two_triangles();
         let mut p = Partition::from_assignment(vec![1, 0, 1, 0, 1, 0], 2).unwrap();
         let before = edge_cut(&g, &p);
-        let out = fm_refine_bisection(&g, &mut p, &FmOptions::balanced(&g, 1.1));
+        let csr = Csr::from_graph(&g);
+        let out = fm_refine_bisection(csr.view(), &mut p, &FmOptions::balanced(csr.view(), 1.1));
         assert_eq!(out.initial_cut, before);
         assert_eq!(out.final_cut, edge_cut(&g, &p));
     }

@@ -7,11 +7,11 @@
 //! of the paper's resource-driven greedy initial partitioning.
 
 use crate::gain::GainHeap;
-use ppn_graph::{NodeId, Partition, WeightedGraph};
+use ppn_graph::{CsrView, NodeId, Partition};
 
 /// Grow a region from `seed` until its weight reaches `target_weight`.
 /// Returns a bisection: grown region = part 0, rest = part 1.
-pub fn greedy_grow_bisection(g: &WeightedGraph, seed: NodeId, target_weight: u64) -> Partition {
+pub fn greedy_grow_bisection(g: CsrView<'_>, seed: NodeId, target_weight: u64) -> Partition {
     let n = g.num_nodes();
     let mut p = Partition::unassigned(n, 2);
     if n == 0 {
@@ -32,15 +32,15 @@ pub fn greedy_grow_bisection(g: &WeightedGraph, seed: NodeId, target_weight: u64
                   heap: &mut GainHeap,
                   region_weight: &mut u64| {
         in_region[v.index()] = true;
-        *region_weight += g.node_weight(v);
-        for &(u, e) in g.neighbors(v) {
-            if in_region[u.index()] {
+        *region_weight += g.vwgt[v.index()];
+        for (u, w) in g.neighbor_iter(v.index()) {
+            if in_region[u] {
                 continue;
             }
-            let w = g.edge_weight(e) as i64;
-            link_in[u.index()] += w;
-            let gain = 2 * link_in[u.index()] - g.weighted_degree(u) as i64;
-            heap.update(u.0, gain);
+            link_in[u] += w as i64;
+            let weighted_degree: u64 = g.neighbor_weights(u).iter().sum();
+            let gain = 2 * link_in[u] - weighted_degree as i64;
+            heap.update(u as u32, gain);
         }
     };
 
@@ -55,14 +55,11 @@ pub fn greedy_grow_bisection(g: &WeightedGraph, seed: NodeId, target_weight: u64
         let Some((_, v)) = heap.pop() else {
             // frontier empty (disconnected graph): jump to the lightest
             // unreached node to keep growing
-            let next = g
-                .node_ids()
-                .filter(|v| !in_region[v.index()])
-                .min_by_key(|&v| g.node_weight(v));
+            let next = (0..n).filter(|&v| !in_region[v]).min_by_key(|&v| g.vwgt[v]);
             match next {
                 Some(v) => {
                     absorb(
-                        v,
+                        NodeId::from_index(v),
                         &mut in_region,
                         &mut link_in,
                         &mut heap,
@@ -86,8 +83,8 @@ pub fn greedy_grow_bisection(g: &WeightedGraph, seed: NodeId, target_weight: u64
         );
     }
 
-    for v in g.node_ids() {
-        p.assign(v, if in_region[v.index()] { 0 } else { 1 });
+    for (v, &inside) in in_region.iter().enumerate() {
+        p.assign(NodeId::from_index(v), if inside { 0 } else { 1 });
     }
     p
 }
@@ -95,7 +92,9 @@ pub fn greedy_grow_bisection(g: &WeightedGraph, seed: NodeId, target_weight: u64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppn_graph::algo::components::is_connected;
     use ppn_graph::metrics::edge_cut;
+    use ppn_graph::{Csr, GraphDelta, WeightedGraph};
 
     fn grid3x3() -> WeightedGraph {
         let mut g = WeightedGraph::new();
@@ -117,7 +116,7 @@ mod tests {
     #[test]
     fn grows_to_target_weight() {
         let g = grid3x3();
-        let p = greedy_grow_bisection(&g, NodeId(0), 4);
+        let p = greedy_grow_bisection(Csr::from_graph(&g).view(), NodeId(0), 4);
         assert!(p.is_complete());
         let w = p.part_weights(&g);
         assert!(w[0] >= 4, "region too small: {w:?}");
@@ -126,13 +125,15 @@ mod tests {
 
     #[test]
     fn grown_region_is_connected_on_connected_graph() {
-        use crate::subgraph::induced_subgraph;
-        use ppn_graph::algo::components::is_connected;
         let g = grid3x3();
-        let p = greedy_grow_bisection(&g, NodeId(4), 4);
-        let members = p.members();
-        let (sub, _) = induced_subgraph(&g, &members[0]);
-        assert!(is_connected(&sub), "grown region should be connected");
+        let p = greedy_grow_bisection(Csr::from_graph(&g).view(), NodeId(4), 4);
+        // deleting the rest of the graph leaves one component
+        let rest = GraphDelta {
+            remove_nodes: p.members()[1].iter().map(|v| v.0).collect(),
+            ..Default::default()
+        };
+        let (region, _) = rest.apply(&g).unwrap();
+        assert!(is_connected(&region), "grown region should be connected");
     }
 
     #[test]
@@ -140,7 +141,7 @@ mod tests {
         let g = grid3x3();
         // optimal 4/5 split of a 3x3 grid cuts 3 edges (a full row/column
         // boundary plus corner); greedy should stay close
-        let p = greedy_grow_bisection(&g, NodeId(0), 4);
+        let p = greedy_grow_bisection(Csr::from_graph(&g).view(), NodeId(0), 4);
         assert!(edge_cut(&g, &p) <= 4, "cut {} too large", edge_cut(&g, &p));
     }
 
@@ -152,7 +153,7 @@ mod tests {
         g.add_edge(a, b, 1).unwrap();
         let _c = g.add_node(3);
         let _d = g.add_node(3);
-        let p = greedy_grow_bisection(&g, a, 9);
+        let p = greedy_grow_bisection(Csr::from_graph(&g).view(), a, 9);
         let w = p.part_weights(&g);
         assert!(w[0] >= 9);
     }
@@ -160,7 +161,7 @@ mod tests {
     #[test]
     fn zero_target_keeps_only_seed() {
         let g = grid3x3();
-        let p = greedy_grow_bisection(&g, NodeId(8), 0);
+        let p = greedy_grow_bisection(Csr::from_graph(&g).view(), NodeId(8), 0);
         assert_eq!(p.part_sizes()[0], 1);
         assert_eq!(p.part_of(NodeId(8)), 0);
     }

@@ -7,8 +7,9 @@
 //! `metis-lite` uses; the paper's GP replaces the balance caps with the
 //! bandwidth/resource admissibility test (see `gp-core`).
 
+use ppn_graph::metrics::part_weights_csr;
 use ppn_graph::prng::{derive_seed, XorShift128Plus};
-use ppn_graph::{NodeId, Partition, WeightedGraph};
+use ppn_graph::{CsrView, NodeId, Partition};
 
 /// Options for [`kway_refine`].
 #[derive(Clone, Debug)]
@@ -26,7 +27,7 @@ pub struct KwayOptions {
 
 impl KwayOptions {
     /// Uniform caps of `balance × total/k` per part.
-    pub fn balanced(g: &WeightedGraph, k: usize, balance: f64) -> Self {
+    pub fn balanced(g: CsrView<'_>, k: usize, balance: f64) -> Self {
         let cap = ((g.total_node_weight() as f64 / k as f64) * balance).ceil() as u64;
         KwayOptions {
             max_part_weight: vec![cap; k],
@@ -39,7 +40,7 @@ impl KwayOptions {
 
 /// Greedy k-way refinement: returns the number of moves applied. The cut
 /// never increases (only strictly improving moves are taken).
-pub fn kway_refine(g: &WeightedGraph, p: &mut Partition, opts: &KwayOptions) -> usize {
+pub fn kway_refine(g: CsrView<'_>, p: &mut Partition, opts: &KwayOptions) -> usize {
     let k = p.k();
     assert_eq!(opts.max_part_weight.len(), k, "cap vector length != k");
     assert!(
@@ -47,14 +48,14 @@ pub fn kway_refine(g: &WeightedGraph, p: &mut Partition, opts: &KwayOptions) -> 
         "k-way refinement needs a complete partition"
     );
 
-    let mut part_weight = p.part_weights(g);
+    let mut part_weight = part_weights_csr(g, p);
     let mut part_size = p.part_sizes();
     let mut rng = XorShift128Plus::new(derive_seed(opts.seed, 0x4A11));
     let mut conn = vec![0u64; k]; // scratch: connection weight to each part
     let mut total_moves = 0;
 
     for _ in 0..opts.max_passes {
-        let mut order: Vec<NodeId> = g.node_ids().collect();
+        let mut order: Vec<NodeId> = (0..g.num_nodes()).map(NodeId::from_index).collect();
         rng.shuffle(&mut order);
         let mut moves = 0;
 
@@ -65,14 +66,14 @@ pub fn kway_refine(g: &WeightedGraph, p: &mut Partition, opts: &KwayOptions) -> 
             }
             // connection weights to every part in v's neighbourhood
             let mut touched: Vec<usize> = Vec::new();
-            for &(u, e) in g.neighbors(v) {
-                let q = p.part_of(u) as usize;
+            for (u, w) in g.neighbor_iter(v.index()) {
+                let q = p.part_of(NodeId::from_index(u)) as usize;
                 if conn[q] == 0 {
                     touched.push(q);
                 }
-                conn[q] += g.edge_weight(e);
+                conn[q] += w;
             }
-            let wv = g.node_weight(v);
+            let wv = g.vwgt[v.index()];
             let mut best: Option<(i64, usize)> = None;
             for &t in &touched {
                 if t == from {
@@ -113,6 +114,7 @@ pub fn kway_refine(g: &WeightedGraph, p: &mut Partition, opts: &KwayOptions) -> 
 mod tests {
     use super::*;
     use ppn_graph::metrics::edge_cut;
+    use ppn_graph::{Csr, WeightedGraph};
 
     /// Four K3 clusters in a ring, bridges weight 1, intra weight 10.
     fn four_clusters() -> WeightedGraph {
@@ -133,14 +135,15 @@ mod tests {
     #[test]
     fn refinement_reunites_clusters() {
         let g = four_clusters();
+        let csr = Csr::from_graph(&g);
         // scramble one node per cluster into the next part
         let mut assign: Vec<u32> = (0..12).map(|i| (i / 3) as u32).collect();
         assign[0] = 1;
         assign[3] = 2;
         let mut p = Partition::from_assignment(assign, 4).unwrap();
         let before = edge_cut(&g, &p);
-        let opts = KwayOptions::balanced(&g, 4, 1.34); // allow 4 per part
-        let moves = kway_refine(&g, &mut p, &opts);
+        let opts = KwayOptions::balanced(csr.view(), 4, 1.34); // allow 4 per part
+        let moves = kway_refine(csr.view(), &mut p, &opts);
         let after = edge_cut(&g, &p);
         assert!(moves >= 2, "expected at least the two repair moves");
         assert!(after < before);
@@ -150,11 +153,16 @@ mod tests {
     #[test]
     fn refinement_never_increases_cut() {
         let g = four_clusters();
+        let csr = Csr::from_graph(&g);
         for seed in 0..5 {
             let assign: Vec<u32> = (0..12).map(|i| ((i * 7 + seed) % 4) as u32).collect();
             let mut p = Partition::from_assignment(assign, 4).unwrap();
             let before = edge_cut(&g, &p);
-            kway_refine(&g, &mut p, &KwayOptions::balanced(&g, 4, 1.5));
+            kway_refine(
+                csr.view(),
+                &mut p,
+                &KwayOptions::balanced(csr.view(), 4, 1.5),
+            );
             assert!(edge_cut(&g, &p) <= before, "seed {seed}");
         }
     }
@@ -162,6 +170,7 @@ mod tests {
     #[test]
     fn caps_are_respected() {
         let g = four_clusters();
+        let csr = Csr::from_graph(&g);
         let assign: Vec<u32> = (0..12).map(|i| (i / 3) as u32).collect();
         let mut p = Partition::from_assignment(assign, 4).unwrap();
         let opts = KwayOptions {
@@ -170,7 +179,7 @@ mod tests {
             seed: 2,
             protect_nonempty: true,
         };
-        kway_refine(&g, &mut p, &opts);
+        kway_refine(csr.view(), &mut p, &opts);
         assert!(p.part_weights(&g).iter().all(|&w| w <= 3));
     }
 
@@ -180,6 +189,7 @@ mod tests {
         let a = g.add_node(1);
         let b = g.add_node(1);
         g.add_edge(a, b, 5).unwrap();
+        let csr = Csr::from_graph(&g);
         let mut p = Partition::from_assignment(vec![0, 1], 2).unwrap();
         let opts = KwayOptions {
             max_part_weight: vec![2, 2],
@@ -187,16 +197,21 @@ mod tests {
             seed: 3,
             protect_nonempty: true,
         };
-        kway_refine(&g, &mut p, &opts);
+        kway_refine(csr.view(), &mut p, &opts);
         assert!(p.part_sizes().iter().all(|&s| s == 1));
     }
 
     #[test]
     fn converged_partition_reports_zero_moves() {
         let g = four_clusters();
+        let csr = Csr::from_graph(&g);
         let assign: Vec<u32> = (0..12).map(|i| (i / 3) as u32).collect();
         let mut p = Partition::from_assignment(assign, 4).unwrap();
-        let moves = kway_refine(&g, &mut p, &KwayOptions::balanced(&g, 4, 1.34));
+        let moves = kway_refine(
+            csr.view(),
+            &mut p,
+            &KwayOptions::balanced(csr.view(), 4, 1.34),
+        );
         assert_eq!(moves, 0);
     }
 }

@@ -12,10 +12,15 @@
 //!   bisection to k parts;
 //! * [`kway`] — direct k-way boundary refinement;
 //! * [`matching`] — heavy-edge matching for coarsening;
-//! * [`subgraph`] — induced subgraph extraction used by recursive
-//!   bisection;
 //! * [`gain`] — a lazy max-heap keyed by move gain, shared by the
 //!   refiners.
+//!
+//! Growing, bisection and both refiners read a [`CsrView`]: an owned
+//! `Csr` of an ingested graph, or a level of a `LevelArena` (recursive
+//! bisection's induced subproblems and the multilevel hierarchies of
+//! `metis-lite`), with no conversion back to a `WeightedGraph`.
+//!
+//! [`CsrView`]: ppn_graph::CsrView
 
 pub mod bisect;
 pub mod fm;
@@ -23,7 +28,6 @@ pub mod gain;
 pub mod grow;
 pub mod kway;
 pub mod matching;
-pub mod subgraph;
 
 pub use bisect::{bisect, bisect_candidates, recursive_bisection, BisectOptions, Bisection};
 pub use fm::{fm_refine_bisection, FmOptions, FmOutcome};

@@ -3,9 +3,8 @@
 use gp_classic::bisect::{bisect, recursive_bisection, BisectOptions};
 use gp_classic::fm::{fm_refine_bisection, FmOptions};
 use gp_classic::matching::heavy_edge_matching;
-use gp_classic::subgraph::induced_subgraph;
 use ppn_graph::metrics::edge_cut;
-use ppn_graph::{NodeId, Partition, WeightedGraph};
+use ppn_graph::{Csr, LevelArena, NodeId, Partition, WeightedGraph};
 use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
@@ -42,7 +41,8 @@ proptest! {
         // ensure both sides non-empty
         p.assign(NodeId(0), 0);
         p.assign(NodeId(1), 1);
-        let opts = FmOptions::balanced(&g, 1.2);
+        let csr = Csr::from_graph(&g);
+        let opts = FmOptions::balanced(csr.view(), 1.2);
         let caps = opts.max_side_weight;
         let viol = |p: &Partition| {
             let w = p.part_weights(&g);
@@ -50,7 +50,7 @@ proptest! {
         };
         let before_cut = edge_cut(&g, &p);
         let before_viol = viol(&p);
-        let out = fm_refine_bisection(&g, &mut p, &opts);
+        let out = fm_refine_bisection(csr.view(), &mut p, &opts);
         prop_assert_eq!(out.final_cut, edge_cut(&g, &p));
         prop_assert!(p.is_complete());
         if before_viol == 0 {
@@ -73,7 +73,7 @@ proptest! {
 
     #[test]
     fn recursive_bisection_covers_all_parts(g in arb_graph(), k in 2usize..6, seed in any::<u64>()) {
-        let p = recursive_bisection(&g, k, 1.2, seed);
+        let p = recursive_bisection(Csr::from_graph(&g).view(), k, 1.2, seed);
         prop_assert!(p.is_complete());
         prop_assert_eq!(p.k(), k);
         if g.num_nodes() >= 2 * k {
@@ -89,7 +89,7 @@ proptest! {
 
     #[test]
     fn bisect_never_empties_a_side(g in arb_graph(), seed in any::<u64>()) {
-        let b = bisect(&g, &BisectOptions { seed, ..Default::default() });
+        let b = bisect(Csr::from_graph(&g).view(), &BisectOptions { seed, ..Default::default() });
         prop_assert!(b.partition.is_complete());
         let sizes = b.partition.part_sizes();
         prop_assert!(sizes[0] > 0 && sizes[1] > 0);
@@ -97,21 +97,31 @@ proptest! {
     }
 
     #[test]
-    fn induced_subgraph_preserves_internal_structure(g in arb_graph(), mask in any::<u64>()) {
+    fn induced_level_preserves_internal_structure(g in arb_graph(), mask in any::<u64>()) {
         let nodes: Vec<NodeId> = g
             .node_ids()
             .filter(|v| (mask >> (v.index() % 60)) & 1 == 1)
             .collect();
-        let (sub, back) = induced_subgraph(&g, &nodes);
+        let csr = Csr::from_graph(&g);
+        let arena = LevelArena::induced(csr.view(), &nodes);
+        let sub = arena.level(0).csr_view();
         prop_assert_eq!(sub.num_nodes(), nodes.len());
-        for (i, &orig) in back.iter().enumerate() {
-            prop_assert_eq!(sub.node_weight(NodeId::from_index(i)), g.node_weight(orig));
+        for (i, &orig) in nodes.iter().enumerate() {
+            prop_assert_eq!(sub.vwgt[i], g.node_weight(orig));
         }
-        // every subgraph edge exists in the parent with equal weight
-        for (u, v, w) in sub.edges() {
-            let e = g.find_edge(back[u.index()], back[v.index()]);
-            prop_assert!(e.is_some());
-            prop_assert_eq!(g.edge_weight(e.unwrap()), w);
+        // every induced edge exists in the parent with equal weight, and
+        // every parent edge between selected nodes is induced
+        let mut internal = 0;
+        for i in 0..sub.num_nodes() {
+            for (j, w) in sub.neighbor_iter(i) {
+                let e = g.find_edge(nodes[i], nodes[j]);
+                prop_assert!(e.is_some());
+                prop_assert_eq!(g.edge_weight(e.unwrap()), w);
+            }
         }
+        for (u, v, _) in g.edges() {
+            internal += usize::from(nodes.contains(&u) && nodes.contains(&v));
+        }
+        prop_assert_eq!(sub.num_edges(), internal);
     }
 }

@@ -281,12 +281,6 @@ impl FlatHierarchy {
     pub fn map(&self, i: usize) -> &[u32] {
         self.arena.map_slice(i)
     }
-
-    /// Materialise the coarsest level as an owned graph (unlabeled) for
-    /// the initial partitioner — at `coarsen_to` nodes this is tiny.
-    pub fn coarsest_graph(&self) -> WeightedGraph {
-        self.arena.top().to_graph()
-    }
 }
 
 /// Build the GP hierarchy of `g` down to `coarsen_to` nodes, choosing the
@@ -409,6 +403,7 @@ pub fn gp_coarsen(
 mod tests {
     use super::*;
     use crate::reference::gp_coarsen_reference;
+    use ppn_graph::view::structural_diff;
 
     fn ring(n: usize, w: u64) -> WeightedGraph {
         let mut g = WeightedGraph::new();
@@ -474,10 +469,7 @@ mod tests {
         let g = ring(256, 2);
         let h = coarsen(&g, &MatchingKind::ALL, 32, 5);
         assert!(h.level(h.depth() - 1).num_nodes() <= 32);
-        assert_eq!(
-            h.coarsest_graph().total_node_weight(),
-            g.total_node_weight()
-        );
+        assert_eq!(h.arena.top().total_node_weight(), g.total_node_weight());
         let trace = h.size_trace();
         assert_eq!(trace[0], 256);
         assert!(
@@ -533,16 +525,8 @@ mod tests {
             assert_eq!(flat.level(i + 1).num_nodes(), l.coarse.num_nodes());
         }
         // coarsest structure: same nodes, weights, edges, adjacency
-        let coarsest = flat.coarsest_graph();
         let want = oracle.last().map_or(g, |l| &l.coarse);
-        assert_eq!(coarsest.num_nodes(), want.num_nodes());
-        assert_eq!(coarsest.node_weights(), want.node_weights());
-        for v in want.node_ids() {
-            assert_eq!(coarsest.neighbors(v), want.neighbors(v));
-        }
-        let ea: Vec<_> = coarsest.edges().collect();
-        let eb: Vec<_> = want.edges().collect();
-        assert_eq!(ea, eb);
+        assert_eq!(structural_diff(&flat.arena.top(), want), None);
     }
 
     #[test]

@@ -220,10 +220,6 @@ pub fn gp_partition_budgeted(
             break 'cycles;
         }
 
-        // the coarsest graph is tiny (~coarsen_to nodes); materialise it
-        // once per cycle for the initial partitioner
-        let coarsest = hier.coarsest_graph();
-
         // generate intermediate clustering candidates
         fault_point("gp", "initial");
         let attempts = intermediate_attempts.max(1);
@@ -243,7 +239,7 @@ pub fn gp_partition_budgeted(
             let attempt_seed = derive_seed(cycle_seed, attempt as u64);
             let sp = trace::timed_span("gp", "initial", attempt as i64);
             let p0 = greedy_initial_partition(
-                &coarsest,
+                coarsest_view,
                 k,
                 c,
                 &InitialOptions {

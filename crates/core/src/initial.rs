@@ -1,6 +1,7 @@
 //! Greedy resource-bounded initial partitioning (paper §IV-B).
 //!
-//! On the coarsest graph:
+//! On the coarsest level — read as a `CsrView`, zero-copy off the level
+//! arena:
 //!
 //! 1. start from the heaviest node, open part 0, and absorb neighbours
 //!    (heaviest-connection first) while `Rmax` holds; repeat for the
@@ -22,7 +23,7 @@ use crate::refine::{constrained_refine, RefineOptions};
 use ppn_graph::metrics::PartitionQuality;
 use ppn_graph::prng::{derive_seed, XorShift128Plus};
 use ppn_graph::trace;
-use ppn_graph::{Constraints, Csr, NodeId, Partition, WeightedGraph};
+use ppn_graph::{Constraints, CsrView, NodeId, Partition};
 
 #[cfg(feature = "parallel")]
 use rayon::prelude::*;
@@ -53,15 +54,16 @@ impl Default for InitialOptions {
 }
 
 /// One greedy allocation from a given seed node.
-fn grow_from(g: &WeightedGraph, k: usize, c: &Constraints, first: NodeId, seed: u64) -> Partition {
+fn grow_from(g: CsrView<'_>, k: usize, c: &Constraints, first: NodeId, seed: u64) -> Partition {
     let n = g.num_nodes();
     let mut p = Partition::unassigned(n, k);
     let mut part_weight = vec![0u64; k];
     let mut rng = XorShift128Plus::new(seed);
 
     // heaviest-first order for choosing the next part's seed
-    let mut by_weight: Vec<NodeId> = g.node_ids().collect();
-    by_weight.sort_by_key(|&v| std::cmp::Reverse((g.node_weight(v), std::cmp::Reverse(v.0))));
+    let weight = |v: NodeId| g.vwgt[v.index()];
+    let mut by_weight: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
+    by_weight.sort_by_key(|&v| std::cmp::Reverse((weight(v), std::cmp::Reverse(v.0))));
 
     let mut next_seed = Some(first);
     for part in 0..k as u32 {
@@ -75,24 +77,24 @@ fn grow_from(g: &WeightedGraph, k: usize, c: &Constraints, first: NodeId, seed: 
             // the chosen first node may already be taken in later parts
             if let Some(v) = by_weight.iter().copied().find(|&v| !p.is_assigned(v)) {
                 p.assign(v, part);
-                part_weight[part as usize] += g.node_weight(v);
+                part_weight[part as usize] += weight(v);
             } else {
                 break;
             }
         } else {
             p.assign(seed_node, part);
-            part_weight[part as usize] += g.node_weight(seed_node);
+            part_weight[part as usize] += weight(seed_node);
         }
 
         // absorb neighbours by heaviest connection while Rmax holds
         loop {
             let mut best: Option<(u64, NodeId)> = None;
-            for v in g.node_ids().filter(|&v| p.part_of(v) == part) {
-                for &(u, e) in g.neighbors(v) {
+            for v in (0..n).filter(|&v| p.part_of(NodeId::from_index(v)) == part) {
+                for (u, w) in g.neighbor_iter(v) {
+                    let u = NodeId::from_index(u);
                     if p.is_assigned(u) {
                         continue;
                     }
-                    let w = g.edge_weight(e);
                     match best {
                         Some((bw, bu))
                             if (bw, std::cmp::Reverse(bu.0)) >= (w, std::cmp::Reverse(u.0)) => {}
@@ -101,11 +103,11 @@ fn grow_from(g: &WeightedGraph, k: usize, c: &Constraints, first: NodeId, seed: 
                 }
             }
             let Some((_, u)) = best else { break };
-            if part_weight[part as usize] + g.node_weight(u) > c.rmax {
+            if part_weight[part as usize] + weight(u) > c.rmax {
                 break; // paper: stop growing this part at Rmax
             }
             p.assign(u, part);
-            part_weight[part as usize] += g.node_weight(u);
+            part_weight[part as usize] += weight(u);
         }
         let _ = &mut rng; // rng reserved for tie-breaking variants
     }
@@ -113,7 +115,7 @@ fn grow_from(g: &WeightedGraph, k: usize, c: &Constraints, first: NodeId, seed: 
     // best-fit sweep for leftovers (largest free space first)
     let leftovers = p.unassigned_nodes();
     for v in leftovers {
-        let wv = g.node_weight(v);
+        let wv = weight(v);
         let fitting = (0..k)
             .filter(|&q| part_weight[q] + wv <= c.rmax)
             .max_by_key(|&q| (c.rmax - part_weight[q], std::cmp::Reverse(q)));
@@ -135,7 +137,7 @@ fn grow_from(g: &WeightedGraph, k: usize, c: &Constraints, first: NodeId, seed: 
 type Goodness = (u64, u64, u64, usize);
 
 fn run_restart(
-    g: &WeightedGraph,
+    g: CsrView<'_>,
     k: usize,
     c: &Constraints,
     opts: &InitialOptions,
@@ -145,16 +147,15 @@ fn run_restart(
     let _sp = trace::span("gp", "restart", r as i64);
     let seed = derive_seed(opts.seed, r as u64);
     let first = if r == 0 {
-        g.node_ids()
-            .max_by_key(|&v| (g.node_weight(v), std::cmp::Reverse(v.0)))
-            .expect("non-empty graph")
+        let heaviest = (0..g.num_nodes()).max_by_key(|&v| (g.vwgt[v], std::cmp::Reverse(v)));
+        NodeId::from_index(heaviest.expect("non-empty graph"))
     } else {
         let mut rng = XorShift128Plus::new(seed);
         NodeId::from_index(rng.next_below(g.num_nodes()))
     };
     let mut p = grow_from(g, k, c, first, seed);
     constrained_refine(
-        &Csr::from_graph(g),
+        g,
         &mut p,
         c,
         &RefineOptions {
@@ -163,7 +164,7 @@ fn run_restart(
             ..Default::default()
         },
     );
-    let q = PartitionQuality::measure(g, &p);
+    let q = PartitionQuality::measure_csr(g, &p);
     let (count, magnitude, cut) = q.goodness_key(c.rmax, c.bmax);
     ((count, magnitude, cut, r), p)
 }
@@ -171,7 +172,7 @@ fn run_restart(
 /// Greedy initial partitioning with restarts; returns the best partition
 /// under the goodness order.
 pub fn greedy_initial_partition(
-    g: &WeightedGraph,
+    g: CsrView<'_>,
     k: usize,
     c: &Constraints,
     opts: &InitialOptions,
@@ -207,9 +208,10 @@ pub fn greedy_initial_partition(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppn_graph::metrics::edge_cut;
+    use ppn_graph::metrics::part_weights_csr;
+    use ppn_graph::{Csr, WeightedGraph};
 
-    fn chain_clusters() -> WeightedGraph {
+    fn chain_clusters() -> Csr {
         // 12 nodes in 4 natural triads, like the paper's experiments
         let mut g = WeightedGraph::new();
         let n: Vec<_> = (0..12)
@@ -224,14 +226,14 @@ mod tests {
         for c in 0..3 {
             g.add_edge(n[c * 3 + 2], n[(c + 1) * 3], 3).unwrap();
         }
-        g
+        Csr::from_graph(&g)
     }
 
     #[test]
     fn produces_complete_partition() {
         let g = chain_clusters();
         let c = Constraints::new(120, 30);
-        let p = greedy_initial_partition(&g, 4, &c, &InitialOptions::default());
+        let p = greedy_initial_partition(g.view(), 4, &c, &InitialOptions::default());
         assert!(p.is_complete());
         assert_eq!(p.k(), 4);
     }
@@ -241,8 +243,8 @@ mod tests {
         let g = chain_clusters();
         // generous rmax: every part can hold a triad
         let c = Constraints::new(150, 100);
-        let p = greedy_initial_partition(&g, 4, &c, &InitialOptions::default());
-        let w = p.part_weights(&g);
+        let p = greedy_initial_partition(g.view(), 4, &c, &InitialOptions::default());
+        let w = part_weights_csr(g.view(), &p);
         assert!(
             w.iter().all(|&x| x <= 150),
             "rmax should hold with generous caps: {w:?}"
@@ -254,7 +256,7 @@ mod tests {
         let g = chain_clusters();
         // rmax below the heaviest node: infeasible, but must not panic
         let c = Constraints::new(10, 100);
-        let p = greedy_initial_partition(&g, 4, &c, &InitialOptions::default());
+        let p = greedy_initial_partition(g.view(), 4, &c, &InitialOptions::default());
         assert!(
             p.is_complete(),
             "overflow path must still assign everything"
@@ -266,7 +268,7 @@ mod tests {
         let g = chain_clusters();
         let c = Constraints::new(130, 40);
         let seq = greedy_initial_partition(
-            &g,
+            g.view(),
             4,
             &c,
             &InitialOptions {
@@ -275,7 +277,7 @@ mod tests {
             },
         );
         let par = greedy_initial_partition(
-            &g,
+            g.view(),
             4,
             &c,
             &InitialOptions {
@@ -292,7 +294,7 @@ mod tests {
         let c = Constraints::new(130, 40);
         let q = |restarts| {
             let p = greedy_initial_partition(
-                &g,
+                g.view(),
                 4,
                 &c,
                 &InitialOptions {
@@ -300,7 +302,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            PartitionQuality::measure(&g, &p).goodness_key(c.rmax, c.bmax)
+            PartitionQuality::measure_csr(g.view(), &p).goodness_key(c.rmax, c.bmax)
         };
         assert!(q(10) <= q(1), "restart 1..10 includes restart 0");
     }
@@ -309,17 +311,17 @@ mod tests {
     fn single_part_takes_everything() {
         let g = chain_clusters();
         let c = Constraints::new(u64::MAX, u64::MAX);
-        let p = greedy_initial_partition(&g, 1, &c, &InitialOptions::default());
+        let p = greedy_initial_partition(g.view(), 1, &c, &InitialOptions::default());
         assert!(p.assignment().iter().all(|&a| a == 0));
-        assert_eq!(edge_cut(&g, &p), 0);
+        assert_eq!(PartitionQuality::measure_csr(g.view(), &p).total_cut, 0);
     }
 
     #[test]
     fn deterministic_per_seed() {
         let g = chain_clusters();
         let c = Constraints::new(130, 40);
-        let a = greedy_initial_partition(&g, 4, &c, &InitialOptions::default());
-        let b = greedy_initial_partition(&g, 4, &c, &InitialOptions::default());
+        let a = greedy_initial_partition(g.view(), 4, &c, &InitialOptions::default());
+        let b = greedy_initial_partition(g.view(), 4, &c, &InitialOptions::default());
         assert_eq!(a, b);
     }
 }

@@ -37,7 +37,7 @@ use ppn_graph::contract::{contract_reference, CoarseMap};
 use ppn_graph::matching::random_maximal_matching;
 use ppn_graph::metrics::CutMatrix;
 use ppn_graph::prng::{derive_seed, XorShift128Plus};
-use ppn_graph::{Constraints, NodeId, Partition, WeightedGraph};
+use ppn_graph::{Constraints, Csr, NodeId, Partition, WeightedGraph};
 use std::cmp::Reverse;
 
 /// One contraction of the reference hierarchy.
@@ -202,7 +202,7 @@ pub fn constrained_refine_reference(
 ) -> usize {
     assert!(p.is_complete(), "refinement needs a complete partition");
     let k = p.k();
-    let mut state = ConstrainedState::new(g, p);
+    let mut state = ConstrainedState::new(Csr::from_graph(g).view(), p);
     let mut rng = XorShift128Plus::new(derive_seed(opts.seed, 0xC0F1));
     let mut scratch: Vec<(usize, i64)> = Vec::new();
     let mut total_moves = 0;
@@ -371,7 +371,7 @@ mod tests {
         for seed in 0..8u64 {
             let assign: Vec<u32> = (0..6).map(|i| ((i + seed as usize) % 3) as u32).collect();
             let mut p = Partition::from_assignment(assign, 3).unwrap();
-            let v_before = ConstrainedState::new(&g, &p).violation(&c);
+            let v_before = ConstrainedState::new(Csr::from_graph(&g).view(), &p).violation(&c);
             constrained_refine_reference(
                 &g,
                 &mut p,
@@ -381,7 +381,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            let v_after = ConstrainedState::new(&g, &p).violation(&c);
+            let v_after = ConstrainedState::new(Csr::from_graph(&g).view(), &p).violation(&c);
             assert!(v_after <= v_before, "seed {seed}");
         }
     }

@@ -165,34 +165,11 @@ fn eval_from_row(
 }
 
 impl ConstrainedState {
-    /// Build the state for a complete partition. Violation queries fall
-    /// back to a scan; prefer [`new_tracked`](ConstrainedState::new_tracked)
-    /// on hot paths.
-    pub fn new(g: &WeightedGraph, p: &Partition) -> Self {
-        let cut = CutMatrix::compute(g, p);
-        let total_cut = cut.total_cut();
-        ConstrainedState {
-            cut,
-            part_weights: p.part_weights(g),
-            part_sizes: p.part_sizes(),
-            total_cut,
-            tracked_rmax: u64::MAX,
-            res_excess: 0,
-        }
-    }
-
-    /// Build the state with violation magnitude tracked against `c`:
-    /// [`violation`](ConstrainedState::violation) becomes O(1) and is
-    /// maintained incrementally across [`apply_move`](ConstrainedState::apply_move).
-    pub fn new_tracked(g: &WeightedGraph, p: &Partition, c: &Constraints) -> Self {
-        Self::new(g, p).with_tracking(c)
-    }
-
-    /// [`new`](ConstrainedState::new) off a CSR view (the flat level
-    /// arena's per-level form). Bit-identical to the graph constructor:
-    /// the traffic matrix and part weights are order-independent `u64`
-    /// sums.
-    pub fn new_csr(csr: CsrView<'_>, p: &Partition) -> Self {
+    /// Build the state for a complete partition off a CSR view — an
+    /// owned [`Csr`](ppn_graph::Csr)'s or an arena level's. Violation
+    /// queries fall back to a scan; prefer
+    /// [`new_tracked`](ConstrainedState::new_tracked) on hot paths.
+    pub fn new(csr: CsrView<'_>, p: &Partition) -> Self {
         let cut = CutMatrix::compute_csr(csr, p);
         let total_cut = cut.total_cut();
         ConstrainedState {
@@ -205,9 +182,11 @@ impl ConstrainedState {
         }
     }
 
-    /// [`new_tracked`](ConstrainedState::new_tracked) off a CSR view.
-    pub fn new_tracked_csr(csr: CsrView<'_>, p: &Partition, c: &Constraints) -> Self {
-        Self::new_csr(csr, p).with_tracking(c)
+    /// Build the state with violation magnitude tracked against `c`:
+    /// [`violation`](ConstrainedState::violation) becomes O(1) and is
+    /// maintained incrementally across [`apply_move`](ConstrainedState::apply_move).
+    pub fn new_tracked(csr: CsrView<'_>, p: &Partition, c: &Constraints) -> Self {
+        Self::new(csr, p).with_tracking(c)
     }
 
     fn with_tracking(mut self, c: &Constraints) -> Self {
@@ -453,7 +432,7 @@ impl<'a> MigCtx<'a> {
 
 impl<'a> RefineEngine<'a> {
     fn new(csr: CsrView<'a>, p: &Partition, c: &Constraints) -> Self {
-        let state = ConstrainedState::new_tracked_csr(csr, p, c);
+        let state = ConstrainedState::new_tracked(csr, p, c);
         let boundary = Boundary::new(csr, p);
         let k = p.k();
         let n = csr.num_nodes();
@@ -927,10 +906,10 @@ mod tests {
     fn state_matches_fresh_measurement_after_moves() {
         let g = bw_tension();
         let mut p = Partition::from_assignment(vec![0, 0, 1, 1, 2, 2], 3).unwrap();
-        let mut s = ConstrainedState::new(&g, &p);
+        let mut s = ConstrainedState::new(Csr::from_graph(&g).view(), &p);
         s.apply_move(&g, &mut p, NodeId(1), 1);
         s.apply_move(&g, &mut p, NodeId(4), 0);
-        let fresh = ConstrainedState::new(&g, &p);
+        let fresh = ConstrainedState::new(Csr::from_graph(&g).view(), &p);
         assert_eq!(s.cut, fresh.cut);
         assert_eq!(s.part_weights, fresh.part_weights);
         assert_eq!(s.total_cut, fresh.total_cut);
@@ -941,10 +920,10 @@ mod tests {
         let g = bw_tension();
         let c = Constraints::new(25, 20);
         let mut p = Partition::from_assignment(vec![0, 0, 1, 1, 2, 2], 3).unwrap();
-        let mut s = ConstrainedState::new_tracked(&g, &p, &c);
+        let mut s = ConstrainedState::new_tracked(Csr::from_graph(&g).view(), &p, &c);
         for (v, to) in [(1u32, 1u32), (4, 0), (0, 2), (3, 0)] {
             s.apply_move(&g, &mut p, NodeId(v), to);
-            let fresh = ConstrainedState::new(&g, &p);
+            let fresh = ConstrainedState::new(Csr::from_graph(&g).view(), &p);
             assert_eq!(s.total_cut, fresh.total_cut, "after {v}->{to}");
             assert_eq!(s.violation(&c), fresh.violation(&c), "after {v}->{to}");
         }
@@ -958,7 +937,7 @@ mod tests {
         for to in 0..3u32 {
             for vi in 0..6u32 {
                 let mut p = Partition::from_assignment(vec![0, 0, 1, 1, 2, 2], 3).unwrap();
-                let s = ConstrainedState::new_tracked(&g, &p, &c);
+                let s = ConstrainedState::new_tracked(Csr::from_graph(&g).view(), &p, &c);
                 let viol_before = s.violation(&c) as i64;
                 let cut_before = s.total_cut as i64;
                 let d = s.evaluate_move(&g, &p, &c, NodeId(vi), to, &mut scratch);
@@ -985,7 +964,7 @@ mod tests {
         let g = bw_tension();
         let c = Constraints::unconstrained();
         let p = Partition::from_assignment(vec![0, 1, 0, 1, 0, 1], 2).unwrap();
-        let s = ConstrainedState::new_tracked(&g, &p, &c);
+        let s = ConstrainedState::new_tracked(Csr::from_graph(&g).view(), &p, &c);
         let mut scratch = Vec::new();
         for vi in 0..6u32 {
             for to in 0..2u32 {
@@ -1022,14 +1001,14 @@ mod tests {
         g.add_edge(n[2], n[3], 20).unwrap();
         let c = Constraints::new(100, 10);
         let mut p = Partition::from_assignment(vec![0, 1, 1, 1], 2).unwrap();
-        let s = ConstrainedState::new(&g, &p);
+        let s = ConstrainedState::new(Csr::from_graph(&g).view(), &p);
         assert_eq!(
             s.violation(&c),
             10,
             "start must violate for the test to bite"
         );
         refine(&g, &mut p, &c, &RefineOptions::default());
-        let s2 = ConstrainedState::new(&g, &p);
+        let s2 = ConstrainedState::new(Csr::from_graph(&g).view(), &p);
         assert_eq!(s2.violation(&c), 0, "single-move repair should succeed");
         assert!(c.is_feasible(&g, &p));
     }
@@ -1045,7 +1024,7 @@ mod tests {
         }
         let c = Constraints::new(30, 100);
         let mut p = Partition::from_assignment(vec![0, 1, 1, 1, 1], 2).unwrap();
-        assert!(ConstrainedState::new(&g, &p).violation(&c) > 0);
+        assert!(ConstrainedState::new(Csr::from_graph(&g).view(), &p).violation(&c) > 0);
         refine(&g, &mut p, &c, &RefineOptions::default());
         assert!(c.is_feasible(&g, &p), "resource repair should succeed");
     }
@@ -1062,7 +1041,7 @@ mod tests {
         g.add_edge(c0, d, 3).unwrap();
         let c = Constraints::new(50, 100);
         let mut p = Partition::from_assignment(vec![0, 0, 1, 1], 2).unwrap();
-        assert!(ConstrainedState::new(&g, &p).violation(&c) > 0);
+        assert!(ConstrainedState::new(Csr::from_graph(&g).view(), &p).violation(&c) > 0);
         let moves = refine(&g, &mut p, &c, &RefineOptions::default());
         assert!(moves > 0);
         assert!(c.is_feasible(&g, &p), "weights {:?}", p.part_weights(&g));
@@ -1075,7 +1054,7 @@ mod tests {
         for seed in 0..8 {
             let assign: Vec<u32> = (0..6).map(|i| ((i + seed) % 3) as u32).collect();
             let mut p = Partition::from_assignment(assign, 3).unwrap();
-            let v_before = ConstrainedState::new(&g, &p).violation(&c);
+            let v_before = ConstrainedState::new(Csr::from_graph(&g).view(), &p).violation(&c);
             refine(
                 &g,
                 &mut p,
@@ -1085,7 +1064,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            let v_after = ConstrainedState::new(&g, &p).violation(&c);
+            let v_after = ConstrainedState::new(Csr::from_graph(&g).view(), &p).violation(&c);
             assert!(v_after <= v_before, "seed {seed}: {v_before} -> {v_after}");
         }
     }
@@ -1118,7 +1097,10 @@ mod tests {
         g.add_edge(c0, d, 3).unwrap();
         let cons = Constraints::new(133, 1000);
         let mut p = Partition::from_assignment(vec![0, 0, 0, 1, 1, 1], 2).unwrap();
-        assert_eq!(ConstrainedState::new(&g, &p).violation(&cons), 2);
+        assert_eq!(
+            ConstrainedState::new(Csr::from_graph(&g).view(), &p).violation(&cons),
+            2
+        );
         let moves = refine(&g, &mut p, &cons, &RefineOptions::default());
         assert!(moves > 0, "the swap pass must engage");
         assert!(

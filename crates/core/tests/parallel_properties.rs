@@ -116,9 +116,9 @@ fn parallel_refine_never_increases_violation() {
         let k = 5;
         let c = constraints_for(&g, k);
         let mut p = random_partition(g.num_nodes(), k, seed ^ 0x33);
-        let before = ConstrainedState::new(&g, &p).violation(&c);
+        let before = ConstrainedState::new(Csr::from_graph(&g).view(), &p).violation(&c);
         parallel(&g, &mut p, &c, seed);
-        let after = ConstrainedState::new(&g, &p).violation(&c);
+        let after = ConstrainedState::new(Csr::from_graph(&g).view(), &p).violation(&c);
         assert!(
             after <= before,
             "seed {seed}: violation grew {before} -> {after}"

@@ -5,6 +5,7 @@ use gp_core::reference::{constrained_refine_reference, gp_coarsen_reference};
 use gp_core::refine::{constrained_refine, ConstrainedState, RefineOptions};
 use gp_core::{gp_partition, GpParams, MatchingKind};
 use ppn_graph::metrics::{edge_cut, PartitionQuality};
+use ppn_graph::view::structural_diff;
 use ppn_graph::{Budget, Constraints, Csr, NodeId, Partition, WeightedGraph};
 use proptest::prelude::*;
 
@@ -138,11 +139,8 @@ proptest! {
         for (i, b) in slow.iter().enumerate() {
             prop_assert_eq!(fast.winners[i], b.matching_kind);
             prop_assert_eq!(fast.map(i), &b.map.map[..]);
-            let a = fast.level(i + 1).to_graph();
-            let ea: Vec<_> = a.edges().collect();
-            let eb: Vec<_> = b.coarse.edges().collect();
-            prop_assert_eq!(ea, eb);
-            prop_assert_eq!(a.node_weights(), b.coarse.node_weights());
+            // node weights, edges in id order, adjacency with edge ids
+            prop_assert_eq!(structural_diff(&fast.level(i + 1), &b.coarse), None);
         }
     }
 
@@ -153,7 +151,7 @@ proptest! {
         target in 2usize..8
     ) {
         let h = coarsen(&g, target, seed);
-        prop_assert_eq!(h.coarsest_graph().total_node_weight(), g.total_node_weight());
+        prop_assert_eq!(h.arena.top().total_node_weight(), g.total_node_weight());
         let trace = h.size_trace();
         prop_assert!(trace.windows(2).all(|w| w[1] < w[0]));
     }
@@ -171,14 +169,14 @@ proptest! {
             (g.total_edge_weight() * bmax_frac / 8).max(1),
         );
         let mut p = arb_partition(g.num_nodes(), k, seed);
-        let before = ConstrainedState::new(&g, &p);
+        let before = ConstrainedState::new(Csr::from_graph(&g).view(), &p);
         let v_before = before.violation(&c);
         let cut_before = edge_cut(&g, &p);
         constrained_refine(&Csr::from_graph(&g), &mut p, &c, &RefineOptions {
             seed,
             ..Default::default()
         });
-        let after = ConstrainedState::new(&g, &p);
+        let after = ConstrainedState::new(Csr::from_graph(&g).view(), &p);
         prop_assert!(after.violation(&c) <= v_before,
             "violation rose: {} -> {}", v_before, after.violation(&c));
         if v_before == 0 {
@@ -201,13 +199,13 @@ proptest! {
             (g.total_edge_weight() * bmax_frac / 8).max(1),
         );
         let mut p = arb_partition(g.num_nodes(), k, seed);
-        let v_before = ConstrainedState::new(&g, &p).violation(&c);
+        let v_before = ConstrainedState::new(Csr::from_graph(&g).view(), &p).violation(&c);
         let cut_before = edge_cut(&g, &p);
         constrained_refine_reference(&g, &mut p, &c, &RefineOptions {
             seed,
             ..Default::default()
         });
-        let after = ConstrainedState::new(&g, &p);
+        let after = ConstrainedState::new(Csr::from_graph(&g).view(), &p);
         prop_assert!(after.violation(&c) <= v_before);
         if v_before == 0 {
             prop_assert!(edge_cut(&g, &p) <= cut_before);
@@ -235,7 +233,7 @@ proptest! {
             max_passes: 64, // far above what these sizes need to converge
             ..Default::default()
         });
-        let s = ConstrainedState::new_tracked(&g, &p, &c);
+        let s = ConstrainedState::new_tracked(Csr::from_graph(&g).view(), &p, &c);
         let mut scratch = Vec::new();
         for v in g.node_ids() {
             let from = p.part_of(v) as usize;
@@ -338,7 +336,7 @@ proptest! {
         );
         let v = NodeId(node % g.num_nodes() as u32);
         let t = to % k as u32;
-        let s = ConstrainedState::new(&g, &p);
+        let s = ConstrainedState::new(Csr::from_graph(&g).view(), &p);
         let mut scratch = Vec::new();
         let d = s.evaluate_move(&g, &p, &c, v, t, &mut scratch);
         let (v0, c0) = (s.violation(&c) as i64, s.total_cut as i64);

@@ -13,9 +13,12 @@
 //!    `coarsen_to` nodes or stops shrinking (a matching that leaves more
 //!    than 95% of the nodes, i.e. shrinks the graph by less than 5%);
 //! 2. **Initial partitioning** — recursive bisection (greedy growing +
-//!    FM) on the coarsest graph;
+//!    FM) on the coarsest level;
 //! 3. **Un-coarsening** — projection through each level followed by
 //!    greedy direct k-way boundary refinement under a balance cap.
+//!
+//! Steps 2 and 3 read the arena's levels in place through
+//! [`LevelView::csr_view`]; no level is rebuilt as a `WeightedGraph`.
 //!
 //! Exactly like METIS, the only "constraint" honoured is load balance
 //! (the `ufactor`); bandwidth between part pairs and absolute per-part
@@ -38,7 +41,7 @@ use ppn_graph::arena::{LevelArena, LevelView};
 use ppn_graph::matching::Matching;
 use ppn_graph::metrics::PartitionQuality;
 use ppn_graph::prng::derive_seed;
-use ppn_graph::{GraphView, Partition, WeightedGraph};
+use ppn_graph::{CsrView, GraphView, Partition, WeightedGraph};
 
 pub use options::MetisOptions;
 pub use rb::{rb_partition, rb_partition_budgeted, RbInfeasible, RbParams, RbResult};
@@ -54,25 +57,18 @@ pub struct KwayResult {
     pub levels: usize,
 }
 
-/// One contracted level: the fine→coarse map from the graph below and
-/// the coarse graph it produced.
-pub(crate) type CoarseLevel = (Vec<u32>, WeightedGraph);
-
-/// Coarsen `g` in a [`LevelArena`] whose level 0 is `g`:
-/// `matching(top, round)` matches the top level, and the matching is
-/// contracted unless it leaves more than 95% of the level's nodes (a
-/// stall — e.g. a star matches only one pair per round). Stops at the
-/// first stall or once the top level has at most `coarsen_to` nodes.
-///
-/// The refiners downstream work on [`WeightedGraph`]s, so the contracted
-/// levels come back materialised (unlabeled, in the arena's edge-id
-/// order), finest first; `g` itself stays the caller's.
+/// Coarsen `arena` (seeded with level 0) in place: `matching(top,
+/// round)` matches the top level, and the matching is contracted unless
+/// it leaves more than 95% of the level's nodes (a stall — e.g. a star
+/// matches only one pair per round). Stops at the first stall or once
+/// the top level has at most `coarsen_to` nodes, and hands the arena
+/// back; the refiners downstream read its levels through
+/// [`LevelView::csr_view`].
 pub(crate) fn coarsen_levels(
-    g: &WeightedGraph,
+    mut arena: LevelArena,
     coarsen_to: usize,
     mut matching: impl FnMut(LevelView<'_>, u64) -> Matching,
-) -> Vec<CoarseLevel> {
-    let mut arena = LevelArena::from_graph(g);
+) -> LevelArena {
     for round in 0.. {
         let top = arena.top();
         if top.num_nodes() <= coarsen_to {
@@ -84,14 +80,13 @@ pub(crate) fn coarsen_levels(
         }
         arena.contract_top(&m);
     }
-    (1..arena.num_levels())
-        .map(|i| (arena.map_slice(i - 1).to_vec(), arena.level(i).to_graph()))
-        .collect()
+    arena
 }
 
-/// The METIS-style hierarchy: node-scan heavy-edge matching per level.
-fn heavy_edge_hierarchy(g: &WeightedGraph, coarsen_to: usize, seed: u64) -> Vec<CoarseLevel> {
-    coarsen_levels(g, coarsen_to, |top, round| {
+/// The METIS-style hierarchy of `g`: node-scan heavy-edge matching per
+/// level.
+fn heavy_edge_hierarchy(g: &WeightedGraph, coarsen_to: usize, seed: u64) -> LevelArena {
+    coarsen_levels(LevelArena::from_graph(g), coarsen_to, |top, round| {
         heavy_edge_matching_node_scan(&top, derive_seed(seed, 0xC0A5 + round))
     })
 }
@@ -125,14 +120,15 @@ pub fn kway_partition(g: &WeightedGraph, k: usize, opts: &MetisOptions) -> KwayR
     ppn_graph::faultpoint::fault_point("metis", "kway");
     let _run = ppn_graph::trace::span("metis", "kway", n as i64);
     let sp = ppn_graph::trace::span("metis", "coarsen", n as i64);
-    let levels = heavy_edge_hierarchy(g, opts.coarsen_to.max(2 * k), opts.seed);
-    let coarsest = levels.last().map_or(g, |(_, coarse)| coarse);
+    let arena = heavy_edge_hierarchy(g, opts.coarsen_to.max(2 * k), opts.seed);
+    let top = arena.num_levels() - 1;
+    let coarsest = arena.level(top).csr_view();
     drop(sp);
 
-    // 2. initial partitioning on the coarsest graph
+    // 2. initial partitioning on the coarsest level
     let sp = ppn_graph::trace::span("metis", "initial", coarsest.num_nodes() as i64);
     let mut part = recursive_bisection(coarsest, k, opts.ufactor, derive_seed(opts.seed, 0x1217));
-    let refine_opts = |graph: &WeightedGraph, stream: u64| KwayOptions {
+    let refine_opts = |graph: CsrView<'_>, stream: u64| KwayOptions {
         max_part_weight: vec![
             ((graph.total_node_weight() as f64 / k as f64) * opts.ufactor).ceil()
                 as u64
@@ -147,11 +143,11 @@ pub fn kway_partition(g: &WeightedGraph, k: usize, opts: &MetisOptions) -> KwayR
     drop(sp);
 
     // 3. project back through the hierarchy, refining at each level
-    let _ref = ppn_graph::trace::span("metis", "refine", levels.len() as i64);
-    for (i, (map, _)) in levels.iter().enumerate().rev() {
+    let _ref = ppn_graph::trace::span("metis", "refine", top as i64);
+    for i in (0..top).rev() {
         let _lvl = ppn_graph::trace::span("metis", "level", i as i64);
-        part = part.project(map);
-        let fine = if i == 0 { g } else { &levels[i - 1].1 };
+        part = part.project(arena.map_slice(i));
+        let fine = arena.level(i).csr_view();
         kway_refine(fine, &mut part, &refine_opts(fine, 0xF1 + i as u64));
     }
 
@@ -159,7 +155,7 @@ pub fn kway_partition(g: &WeightedGraph, k: usize, opts: &MetisOptions) -> KwayR
     KwayResult {
         partition: part,
         quality,
-        levels: levels.len() + 1,
+        levels: top + 1,
     }
 }
 
@@ -167,6 +163,7 @@ pub fn kway_partition(g: &WeightedGraph, k: usize, opts: &MetisOptions) -> KwayR
 mod tests {
     use super::*;
     use ppn_graph::metrics::{edge_cut, imbalance};
+    use ppn_graph::NodeId;
 
     fn grid(w: usize, h: usize) -> WeightedGraph {
         let mut g = WeightedGraph::new();
@@ -189,17 +186,25 @@ mod tests {
     fn hierarchy_reaches_target_size() {
         let g = grid(20, 20); // 400 nodes
         let h = heavy_edge_hierarchy(&g, 100, 1);
-        assert!(h.last().unwrap().1.num_nodes() <= 100);
-        assert!(!h.is_empty());
+        assert!(h.top().num_nodes() <= 100);
+        assert!(h.num_levels() > 1);
     }
 
     #[test]
     fn weights_preserved_through_hierarchy() {
         let g = grid(16, 16);
         let h = heavy_edge_hierarchy(&g, 50, 2);
-        for (_, coarse) in &h {
+        for i in 1..h.num_levels() {
+            let coarse = h.level(i);
             assert_eq!(coarse.total_node_weight(), g.total_node_weight());
-            coarse.validate().unwrap();
+            // every adjacency entry names an edge between its two ends
+            for v in (0..coarse.num_nodes()).map(NodeId::from_index) {
+                for j in 0..coarse.degree(v) {
+                    let (u, e) = coarse.neighbor(v, j);
+                    let (a, b, _) = coarse.edge(e);
+                    assert!((a, b) == (u, v) || (a, b) == (v, u), "level {i}");
+                }
+            }
         }
     }
 
@@ -207,7 +212,7 @@ mod tests {
     fn small_graph_is_not_coarsened() {
         let g = grid(3, 3);
         let h = heavy_edge_hierarchy(&g, 100, 3);
-        assert!(h.is_empty());
+        assert_eq!(h.num_levels(), 1);
     }
 
     #[test]
@@ -222,9 +227,9 @@ mod tests {
         }
         let h = heavy_edge_hierarchy(&g, 4, 4);
         assert!(
-            h.len() < 59,
+            h.num_levels() < 60,
             "coarsening should stall-stop, got {} levels",
-            h.len()
+            h.num_levels()
         );
     }
 
@@ -234,10 +239,10 @@ mod tests {
         let h = heavy_edge_hierarchy(&g, 20, 5);
         // follow node 0 down the hierarchy without panicking
         let mut idx = 0u32;
-        for (map, _) in &h {
-            idx = map[idx as usize];
+        for i in 0..h.num_levels() - 1 {
+            idx = h.map_slice(i)[idx as usize];
         }
-        assert!((idx as usize) < h.last().unwrap().1.num_nodes());
+        assert!((idx as usize) < h.top().num_nodes());
     }
 
     fn clustered(clusters: usize, size: usize) -> WeightedGraph {

@@ -13,12 +13,15 @@
 //!    may weigh at most `k_i × Rmax`
 //!    ([`Constraints::resource_budget`]) — tighter of that and the
 //!    balance cap is handed to FM as an absolute side cap;
-//! 3. **Multilevel per subproblem**: each induced subgraph is coarsened
-//!    in a flat level arena with gp-core's best-of-three matching
-//!    tournament (same 95% stall rule as GP), bisected on the
-//!    coarsest graph (greedy growing + FM restarts), and FM-refined
-//!    while un-coarsening — the n-level analogue of the GP V-cycle,
-//!    applied `⌈log₂ k⌉` deep;
+//! 3. **Multilevel per subproblem**: each subproblem is induced straight
+//!    into level 0 of a flat level arena ([`LevelArena::induced`], off
+//!    one CSR of the input built per run), coarsened there with
+//!    gp-core's best-of-three matching tournament (same 95% stall rule
+//!    as GP), bisected on the coarsest level (greedy growing + FM
+//!    restarts), and FM-refined while un-coarsening — the n-level
+//!    analogue of the GP V-cycle, applied `⌈log₂ k⌉` deep. Every step
+//!    reads the arena's levels as CSR views; none is rebuilt as a
+//!    `WeightedGraph`;
 //! 4. **Repair the pairwise bandwidth**: recursive bisection never sees
 //!    `Bmax` (a 2-way cut says nothing about final part pairs), so the
 //!    assembled k-way partition runs gp-core's boundary-driven
@@ -29,17 +32,18 @@
 
 use gp_classic::bisect::{bisect_candidates, BisectOptions};
 use gp_classic::fm::{fm_refine_bisection, FmOptions};
-use gp_classic::subgraph::induced_subgraph;
 use gp_core::initial::{greedy_initial_partition, InitialOptions};
 use gp_core::params::MatchingKind;
 use gp_core::refine::{constrained_refine, RefineOptions};
 use gp_core::{best_matching_in, MatchScratch, PhaseSeconds};
 use ppn_graph::budget::{Budget, Degradation};
 use ppn_graph::faultpoint::{alloc_fault, fault_point};
-use ppn_graph::metrics::{CutMatrix, PartitionQuality};
+use ppn_graph::metrics::{part_weights_csr, CutMatrix, PartitionQuality};
 use ppn_graph::prng::derive_seed;
 use ppn_graph::trace;
-use ppn_graph::{ConstraintReport, Constraints, Csr, NodeId, Partition, WeightedGraph};
+use ppn_graph::{
+    ConstraintReport, Constraints, Csr, CsrView, LevelArena, NodeId, Partition, WeightedGraph,
+};
 
 /// Parameters of [`rb_partition`].
 #[derive(Clone, Debug)]
@@ -223,17 +227,11 @@ fn part_groupings(k: usize, k0: usize) -> Vec<Vec<bool>> {
 /// leading bisection candidate scores positive, up to `branch_width`
 /// alternative candidates are explored best-first and the
 /// lowest-violation subtree is kept.
-/// Conservative bytes a bisection subproblem allocates: the induced
-/// `WeightedGraph` (per-node weight + adjacency `Vec` header + label
-/// slot, per-edge entries in the edge list and both adjacency lists)
-/// times two for its geometric coarsening hierarchy.
-fn rb_sub_bytes_estimate(n: usize, ne: u64) -> u64 {
-    2 * (n as u64 * 56 + ne * 32)
-}
-
+///
+/// `g` is the CSR of the whole input; `nodes` index into it.
 #[allow(clippy::too_many_arguments)]
 fn rb_recurse(
-    g: &WeightedGraph,
+    g: CsrView<'_>,
     nodes: &[NodeId],
     k: usize,
     part_base: u32,
@@ -253,15 +251,16 @@ fn rb_recurse(
         return; // parts beyond the first stay empty when k > |nodes|
     }
     // Deadline and memory checks at subproblem entry: a budget that
-    // cannot afford the subproblem — in wall-clock, or in bytes for the
-    // induced subgraph plus its coarsening hierarchy — fills the
+    // cannot afford the subproblem — in wall-clock, or in bytes for its
+    // level arena (level 0 doubled for the geometric hierarchy) — fills the
     // remaining subtree with the O(n) contiguous split instead of
     // bisecting it — complete and weight-balanced, no claim on the cut.
     trace::counter("rb", "budget_checkpoint", 1);
     let mem_blocked = alloc_fault("rb", "bisect")
         || (time_budget.memory_ledger().is_some() && {
-            let deg_sum: u64 = nodes.iter().map(|&v| g.neighbors(v).len() as u64).sum();
-            !time_budget.admits_bytes(rb_sub_bytes_estimate(nodes.len(), deg_sum / 2))
+            let deg_sum: usize = nodes.iter().map(|&v| g.degree(v.index())).sum();
+            let level0 = LevelArena::level_bytes_estimate(nodes.len(), deg_sum / 2);
+            !time_budget.admits_bytes(2 * level0)
         });
     if mem_blocked
         || (!time_budget.is_unlimited()
@@ -278,7 +277,7 @@ fn rb_recurse(
                 format!("{cause}; contiguous fill over {} nodes", nodes.len()),
             )
         });
-        let weights: Vec<u64> = nodes.iter().map(|&v| g.node_weight(v)).collect();
+        let weights: Vec<u64> = nodes.iter().map(|&v| g.vwgt[v.index()]).collect();
         let fill = Partition::contiguous_balanced(&weights, k);
         for (i, &v) in nodes.iter().enumerate() {
             out.assign(v, part_base + fill.part_of(NodeId::from_index(i)));
@@ -287,20 +286,22 @@ fn rb_recurse(
     }
     fault_point("rb", "bisect");
     let _sp = trace::span("rb", "bisect", k as i64);
-    let (sub, back) = induced_subgraph(g, nodes);
     let sub_seed = derive_seed(seed, part_base as u64 ^ (k as u64) << 20);
 
     // multilevel: coarsen the subproblem once (the hierarchy is
-    // shape-independent), bisect the coarsest graph
+    // shape-independent), bisect the coarsest level
     fault_point("rb", "coarsen");
     let sp = trace::timed_span("rb", "coarsen", nodes.len() as i64);
     let mut scratch = MatchScratch::new();
-    let levels = crate::coarsen_levels(&sub, params.coarsen_to.max(4), |top, round| {
+    let seeded = LevelArena::induced(g, nodes);
+    let arena = crate::coarsen_levels(seeded, params.coarsen_to.max(4), |top, round| {
         // gp's per-level tournament on gp's level seed stream
         let level_seed = derive_seed(sub_seed, 0x6C + round);
         best_matching_in(&params.matchings, &top, level_seed, &mut scratch).1
     });
-    let coarsest = levels.last().map_or(&sub, |(_, coarse)| coarse);
+    let sub = arena.level(0).csr_view();
+    let top = arena.num_levels() - 1;
+    let coarsest = arena.level(top).csr_view();
     phases.coarsen_s += sp.finish();
 
     // split shapes, best-first: the balanced `⌈k/2⌉ | ⌊k/2⌋` split, and
@@ -410,11 +411,11 @@ fn rb_recurse(
                 // FM-refining under the caps unless structure-preserving
                 let sp = trace::timed_span("rb", "fm_refine", k0 as i64);
                 let mut p2 = p0;
-                for (i, (map, _)) in levels.iter().enumerate().rev() {
-                    p2 = p2.project(map);
+                for i in (0..top).rev() {
+                    p2 = p2.project(arena.map_slice(i));
                     if !skip_fm {
                         fm_refine_bisection(
-                            if i == 0 { &sub } else { &levels[i - 1].1 },
+                            arena.level(i).csr_view(),
                             &mut p2,
                             &FmOptions {
                                 max_passes: params.fm_passes,
@@ -428,7 +429,7 @@ fn rb_recurse(
 
                 let mut side0 = Vec::new();
                 let mut side1 = Vec::new();
-                for (i, &orig) in back.iter().enumerate() {
+                for (i, &orig) in nodes.iter().enumerate() {
                     if p2.part_of(NodeId::from_index(i)) == 0 {
                         side0.push(orig);
                     } else {
@@ -467,11 +468,11 @@ fn rb_recurse(
                 // exact subtree score: the completed subtree's Rmax/Bmax
                 // violation over the subproblem's internal edges
                 let mut q = Partition::unassigned(sub.num_nodes(), out.k());
-                for (i, &orig) in back.iter().enumerate() {
+                for (i, &orig) in nodes.iter().enumerate() {
                     q.assign(NodeId::from_index(i), out.part_of(orig));
                 }
-                let cm = CutMatrix::compute(&sub, &q);
-                let violation = c.violation_magnitude(&cm, &q.part_weights(&sub));
+                let cm = CutMatrix::compute_csr(sub, &q);
+                let violation = c.violation_magnitude(&cm, &part_weights_csr(sub, &q));
                 let is_better = best.as_ref().map(|(b, _)| violation < *b).unwrap_or(true);
                 if is_better {
                     best = Some((violation, nodes.iter().map(|&v| out.part_of(v)).collect()));
@@ -547,6 +548,7 @@ pub fn rb_partition_budgeted(
         params
     };
 
+    let csr = Csr::from_graph(g);
     let all: Vec<NodeId> = g.node_ids().collect();
     let mut best: Option<((u64, u64, u64), Partition)> = None;
     let mut cycles_used = 0;
@@ -578,7 +580,7 @@ pub fn rb_partition_budgeted(
             params.branch_budget
         };
         rb_recurse(
-            g,
+            csr.view(),
             &all,
             k,
             0,
@@ -600,7 +602,7 @@ pub fn rb_partition_budgeted(
         if time_budget.is_unlimited() || !time_budget.expired() {
             let sp = trace::timed_span("rb", "kway_repair", cycle as i64);
             constrained_refine(
-                &Csr::from_graph(g),
+                &csr,
                 &mut p,
                 c,
                 &RefineOptions {

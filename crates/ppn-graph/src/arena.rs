@@ -9,6 +9,14 @@
 //! fine→coarse maps are appended level by level into shared allocations,
 //! with per-level offset metadata carving out [`LevelView`]s.
 //!
+//! Level 0 comes from one of two builders: [`LevelArena::from_graph`]
+//! copies an ingested [`WeightedGraph`], and [`LevelArena::induced`]
+//! writes the subgraph a node subset induces in a parent CSR straight
+//! into the arena (recursive bisection's subproblems). Every consumer
+//! downstream — matching, initial partitioning, bisection, FM and k-way
+//! refinement — reads the levels through [`LevelView::csr_view`]; no
+//! level is ever turned back into a `WeightedGraph`.
+//!
 //! Equivalence contract: contracting the top level with
 //! [`LevelArena::contract_top`] produces *bit-identical* structure to
 //! [`contract_with`](crate::contract::contract_with) on the materialised
@@ -117,6 +125,37 @@ impl LevelArena {
         arena
     }
 
+    /// Seed the arena with the subgraph of `parent` induced by `nodes` as
+    /// level 0: sub node `i` is `nodes[i]` (same weight), and an edge is
+    /// kept when both endpoints are selected. Edges are numbered walking
+    /// `nodes` in order and each node's parent adjacency in order, each
+    /// edge once from its lower sub id — exactly the edge ids and
+    /// adjacency order of building the induced `WeightedGraph` edge by
+    /// edge and seeding an arena from it with
+    /// [`from_graph`](Self::from_graph), without the intermediate graph.
+    pub fn induced(parent: CsrView<'_>, nodes: &[NodeId]) -> Self {
+        let mut to_sub = vec![u32::MAX; parent.num_nodes()];
+        let mut arena = LevelArena::default();
+        arena.vwgt.reserve(nodes.len());
+        for (i, &v) in nodes.iter().enumerate() {
+            debug_assert_eq!(to_sub[v.index()], u32::MAX, "duplicate node in selection");
+            to_sub[v.index()] = i as u32;
+            arena.vwgt.push(parent.vwgt[v.index()]);
+        }
+        for (i, &v) in nodes.iter().enumerate() {
+            for (u, w) in parent.neighbor_iter(v.index()) {
+                let su = to_sub[u];
+                if su != u32::MAX && (i as u32) < su {
+                    arena.eu.push(i as u32);
+                    arena.ev.push(su);
+                    arena.ew.push(w);
+                }
+            }
+        }
+        arena.seal_level(0, 0);
+        arena
+    }
+
     /// Number of levels currently stored (≥ 1 once seeded).
     #[inline]
     pub fn num_levels(&self) -> usize {
@@ -188,8 +227,9 @@ impl LevelArena {
     /// Bytes a level holding `n` nodes and `ne` edges occupies in the
     /// flat arrays (the per-array terms of [`total_bytes`](Self::total_bytes)).
     /// Used to pre-flight level 0 before [`from_graph`](Self::from_graph)
-    /// and, with the top level's own counts, to bound the next coarse
-    /// level — contraction never grows node or edge counts.
+    /// or [`induced`](Self::induced) and, with the top level's own
+    /// counts, to bound the next coarse level — contraction never grows
+    /// node or edge counts.
     pub fn level_bytes_estimate(n: usize, ne: usize) -> u64 {
         let n = n as u64;
         let ne = ne as u64;
@@ -278,68 +318,76 @@ impl LevelArena {
             merge_coarse_edges_serial(eu, ev, ew, map, cn)
         };
 
-        // --- append the coarse level: edge arrays, then CSR adjacency in
-        // `push_edge` order (per edge: u-side entry, then v-side entry, in
-        // ascending coarse edge id) via count / prefix / scatter ---
+        // --- append the coarse level ---
         let edge_off = self.eu.len();
-        let cne = coarse_edges.len();
         for &(u, v, w) in &coarse_edges {
             self.eu.push(u);
             self.ev.push(v);
             self.ew.push(w);
         }
+        self.seal_level(node_off, edge_off);
+        cn
+    }
+
+    /// Seal the level whose node weights start at `node_off` and whose
+    /// edge list starts at `edge_off` (both already appended): build its
+    /// CSR adjacency in `push_edge` order — per edge, the u-side entry
+    /// then the v-side entry, in ascending edge id — via count / prefix /
+    /// scatter, and record the level.
+    fn seal_level(&mut self, node_off: usize, edge_off: usize) {
+        let n = self.vwgt.len() - node_off;
+        let eu = &self.eu[edge_off..];
+        let ev = &self.ev[edge_off..];
+        let ew = &self.ew[edge_off..];
+        let ne = eu.len();
         let xadj_off = self.xadj.len();
         let adj_off = self.adjncy.len();
-        let mut deg = vec![0usize; cn];
-        for &(u, v, _) in &coarse_edges {
-            deg[u as usize] += 1;
-            deg[v as usize] += 1;
+        // degrees, then exclusive prefix sums as per-node write cursors
+        let mut cursor = vec![0usize; n];
+        for (&u, &v) in eu.iter().zip(ev) {
+            cursor[u as usize] += 1;
+            cursor[v as usize] += 1;
         }
-        self.xadj.reserve(cn + 1);
-        let mut sum = 0usize;
+        self.xadj.reserve(n + 1);
         self.xadj.push(0);
-        for d in &deg {
+        let mut sum = 0usize;
+        for c in cursor.iter_mut() {
+            let d = *c;
+            *c = sum;
             sum += d;
             self.xadj.push(sum);
         }
-        debug_assert_eq!(sum, 2 * cne);
+        debug_assert_eq!(sum, 2 * ne);
         self.adjncy.resize(adj_off + sum, 0);
         self.adj_edge.resize(adj_off + sum, 0);
         self.adjwgt.resize(adj_off + sum, 0);
-        // reuse `deg` as per-node write cursors
-        let mut cursor = deg;
-        for (c, x) in cursor.iter_mut().zip(&self.xadj[xadj_off..xadj_off + cn]) {
-            *c = *x;
+        for j in 0..ne {
+            let (u, v, w) = (eu[j] as usize, ev[j] as usize, ew[j]);
+            for (a, b) in [(u, v), (v, u)] {
+                let at = adj_off + cursor[a];
+                self.adjncy[at] = b as u32;
+                self.adj_edge[at] = j as u32;
+                self.adjwgt[at] = w;
+                cursor[a] += 1;
+            }
         }
-        for (j, &(u, v, w)) in coarse_edges.iter().enumerate() {
-            let (u, v) = (u as usize, v as usize);
-            let cu = cursor[u];
-            self.adjncy[adj_off + cu] = v as u32;
-            self.adj_edge[adj_off + cu] = j as u32;
-            self.adjwgt[adj_off + cu] = w;
-            cursor[u] += 1;
-            let cv = cursor[v];
-            self.adjncy[adj_off + cv] = u as u32;
-            self.adj_edge[adj_off + cv] = j as u32;
-            self.adjwgt[adj_off + cv] = w;
-            cursor[v] += 1;
-        }
-
         self.levels.push(LevelMeta {
             node_off,
             xadj_off,
             adj_off,
             edge_off,
             map_off: 0,
-            num_nodes: cn,
-            num_edges: cne,
+            num_nodes: n,
+            num_edges: ne,
         });
-        cn
     }
 }
 
 /// One level of the arena, borrowed. `Copy`, all-slice — handing one to a
-/// matching heuristic or the refinement engine costs nothing.
+/// matching heuristic costs nothing. Matching reads it through
+/// [`GraphView`] (edge list and adjacency with edge ids); initial
+/// partitioning, bisection and refinement read its
+/// [`csr_view`](LevelView::csr_view).
 #[derive(Clone, Copy, Debug)]
 pub struct LevelView<'a> {
     vwgt: &'a [u64],
@@ -368,22 +416,6 @@ impl<'a> LevelView<'a> {
     /// Total node weight of the level.
     pub fn total_node_weight(&self) -> u64 {
         self.vwgt.iter().sum()
-    }
-
-    /// Materialise the level as a [`WeightedGraph`] (unlabeled), in the
-    /// arena's edge-id order — for the consumers that want an owned
-    /// graph (gp's initial partitioner on the coarsest level, the FM and
-    /// k-way refiners of `rb` and `metis`); identical structure to what
-    /// `contract_with` produces at that level.
-    pub fn to_graph(&self) -> WeightedGraph {
-        let mut g = WeightedGraph::new();
-        for &w in self.vwgt {
-            g.add_node(w);
-        }
-        for i in 0..self.eu.len() {
-            g.push_edge_unchecked(NodeId(self.eu[i]), NodeId(self.ev[i]), self.ew[i]);
-        }
-        g
     }
 }
 
@@ -662,6 +694,7 @@ mod tests {
     use crate::contract::{contract_with, ContractScratch};
     use crate::matching::random_maximal_matching;
     use crate::prng::XorShift128Plus;
+    use crate::view::structural_diff;
 
     /// Random simple graph: `n` nodes, ~`extra` chords over a ring.
     fn random_graph(n: usize, extra: usize, seed: u64) -> WeightedGraph {
@@ -680,21 +713,6 @@ mod tests {
             }
         }
         g
-    }
-
-    fn assert_level_matches_graph(lv: &LevelView<'_>, g: &WeightedGraph) {
-        assert_eq!(GraphView::num_nodes(lv), g.num_nodes());
-        assert_eq!(GraphView::num_edges(lv), g.num_edges());
-        for v in g.node_ids() {
-            assert_eq!(lv.node_weight(v), g.node_weight(v));
-            assert_eq!(GraphView::degree(lv, v), g.degree(v), "degree of {v:?}");
-            for i in 0..g.degree(v) {
-                assert_eq!(lv.neighbor(v, i), g.neighbors(v)[i], "adj {v:?}[{i}]");
-            }
-        }
-        for e in g.edge_ids() {
-            assert_eq!(lv.edge(e), g.edge(e), "edge {e:?}");
-        }
     }
 
     #[test]
@@ -729,7 +747,7 @@ mod tests {
         let g = random_graph(40, 30, 7);
         let arena = LevelArena::from_graph(&g);
         assert_eq!(arena.num_levels(), 1);
-        assert_level_matches_graph(&arena.level(0), &g);
+        assert_eq!(structural_diff(&arena.level(0), &g), None);
         let csr = arena.level(0).csr_view();
         let owned = crate::csr::Csr::from_graph(&g);
         assert_eq!(csr.xadj, &owned.xadj[..]);
@@ -749,7 +767,7 @@ mod tests {
             let (cg, cmap) = contract_with(&g, &m, &mut scratch);
             assert_eq!(cn, cg.num_nodes(), "seed {seed}");
             assert_eq!(arena.map_slice(0), &cmap.map[..], "map, seed {seed}");
-            assert_level_matches_graph(&arena.level(1), &cg);
+            assert_eq!(structural_diff(&arena.level(1), &cg), None);
         }
     }
 
@@ -768,7 +786,7 @@ mod tests {
                 &cmap.map[..],
                 "round {round}"
             );
-            assert_level_matches_graph(&arena.top(), &cg);
+            assert_eq!(structural_diff(&arena.top(), &cg), None);
             current = cg;
         }
         assert_eq!(arena.num_levels(), 5);
@@ -777,13 +795,58 @@ mod tests {
         assert!(arena.total_bytes() > 0);
     }
 
+    fn square() -> WeightedGraph {
+        let mut g = WeightedGraph::new();
+        let n: Vec<_> = (0..4).map(|i| g.add_node(10 + i)).collect();
+        g.add_edge(n[0], n[1], 1).unwrap();
+        g.add_edge(n[1], n[2], 2).unwrap();
+        g.add_edge(n[2], n[3], 3).unwrap();
+        g.add_edge(n[3], n[0], 4).unwrap();
+        g
+    }
+
     #[test]
-    fn to_graph_round_trips_structure() {
-        let g = random_graph(30, 20, 9);
-        let arena = LevelArena::from_graph(&g);
-        let back = arena.level(0).to_graph();
-        back.validate().unwrap();
-        assert_level_matches_graph(&arena.level(0), &back);
+    fn induced_keeps_weights_and_internal_edges() {
+        let g = square();
+        let csr = crate::csr::Csr::from_graph(&g);
+        let arena = LevelArena::induced(csr.view(), &[NodeId(0), NodeId(1), NodeId(2)]);
+        let lv = arena.level(0);
+        assert_eq!(arena.num_levels(), 1);
+        assert_eq!(GraphView::num_nodes(&lv), 3);
+        // 0-1 and 1-2 kept; 2-3 and 3-0 dropped
+        assert_eq!(lv.edge(EdgeId(0)), (NodeId(0), NodeId(1), 1));
+        assert_eq!(lv.edge(EdgeId(1)), (NodeId(1), NodeId(2), 2));
+        assert_eq!(GraphView::num_edges(&lv), 2);
+        assert_eq!(lv.csr_view().vwgt, &[10, 11, 12]);
+    }
+
+    #[test]
+    fn induced_on_empty_selection_is_an_empty_level() {
+        let g = square();
+        let csr = crate::csr::Csr::from_graph(&g);
+        let arena = LevelArena::induced(csr.view(), &[]);
+        assert_eq!(arena.size_trace(), vec![0]);
+        assert_eq!(arena.level(0).csr_view().xadj, &[0]);
+        // non-adjacent selection: nodes, no edges
+        let arena = LevelArena::induced(csr.view(), &[NodeId(1), NodeId(3)]);
+        assert_eq!(arena.level_nodes(0), 2);
+        assert_eq!(arena.level_edges(0), 0);
+    }
+
+    #[test]
+    fn induced_on_every_node_keeps_the_whole_graph() {
+        let g = random_graph(40, 30, 9);
+        let csr = crate::csr::Csr::from_graph(&g);
+        let all: Vec<_> = g.node_ids().collect();
+        let arena = LevelArena::induced(csr.view(), &all);
+        let lv = arena.level(0).csr_view();
+        assert_eq!(lv.vwgt, g.node_weights());
+        assert_eq!(lv.num_edges(), g.num_edges());
+        assert_eq!(lv.total_edge_weight(), g.total_edge_weight());
+        // edges are renumbered in induced order, so a second pass over
+        // the induced level reproduces it exactly
+        let again = LevelArena::induced(lv, &all);
+        assert_eq!(structural_diff(&again.level(0), &arena.level(0)), None);
     }
 
     #[test]

@@ -238,7 +238,7 @@ mod tests {
 
     fn assert_matches_fresh(b: &Boundary, csr: &Csr, p: &Partition) {
         let fresh = Boundary::new(csr, p);
-        for v in 0..csr.num_nodes() {
+        for v in 0..csr.view().num_nodes() {
             let v = NodeId::from_index(v);
             assert_eq!(b.conn(v), fresh.conn(v), "conn row of {v:?}");
             assert_eq!(b.conn_mask(v), fresh.conn_mask(v), "mask of {v:?}");

@@ -7,9 +7,8 @@
 //! `xadj`/`adjncy`/`adjwgt` triple used by METIS, plus node weights.
 
 use crate::graph::WeightedGraph;
-use crate::ids::NodeId;
 
-/// Immutable CSR snapshot of a graph.
+/// Immutable CSR snapshot of a graph, read through [`Csr::view`].
 ///
 /// Neighbour lists are stored contiguously: the neighbours of node `i`
 /// occupy `adjncy[xadj[i]..xadj[i+1]]` with matching `adjwgt` entries.
@@ -89,6 +88,11 @@ impl<'a> CsrView<'a> {
         self.vwgt.iter().sum()
     }
 
+    /// The maximum node weight (0 for an empty graph).
+    pub fn max_node_weight(&self) -> u64 {
+        self.vwgt.iter().copied().max().unwrap_or(0)
+    }
+
     /// Sum of `adjwgt` halved (each edge counted twice).
     pub fn total_edge_weight(&self) -> u64 {
         self.adjwgt.iter().sum::<u64>() / 2
@@ -134,79 +138,6 @@ impl Csr {
             vwgt: g.node_weights().to_vec(),
         }
     }
-
-    /// Number of nodes.
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.vwgt.len()
-    }
-
-    /// Number of undirected edges.
-    #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.adjncy.len() / 2
-    }
-
-    /// Neighbour ids of `v`.
-    #[inline]
-    pub fn neighbors(&self, v: usize) -> &[u32] {
-        &self.adjncy[self.xadj[v]..self.xadj[v + 1]]
-    }
-
-    /// Edge weights aligned with [`neighbors`](Csr::neighbors).
-    #[inline]
-    pub fn neighbor_weights(&self, v: usize) -> &[u64] {
-        &self.adjwgt[self.xadj[v]..self.xadj[v + 1]]
-    }
-
-    /// Degree of `v`.
-    #[inline]
-    pub fn degree(&self, v: usize) -> usize {
-        self.xadj[v + 1] - self.xadj[v]
-    }
-
-    /// Iterate `(neighbour, edge weight)` of `v`.
-    #[inline]
-    pub fn neighbor_iter(&self, v: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.neighbors(v)
-            .iter()
-            .zip(self.neighbor_weights(v))
-            .map(|(&n, &w)| (n as usize, w))
-    }
-
-    /// Total node weight.
-    pub fn total_node_weight(&self) -> u64 {
-        self.vwgt.iter().sum()
-    }
-
-    /// Sum of `adjwgt` halved (each edge counted twice).
-    pub fn total_edge_weight(&self) -> u64 {
-        self.adjwgt.iter().sum::<u64>() / 2
-    }
-}
-
-impl From<&WeightedGraph> for Csr {
-    fn from(g: &WeightedGraph) -> Self {
-        Csr::from_graph(g)
-    }
-}
-
-/// Rebuild a [`WeightedGraph`] from a CSR triple (inverse of
-/// [`Csr::from_graph`] up to adjacency ordering).
-pub fn csr_to_graph(csr: &Csr) -> WeightedGraph {
-    let mut g = WeightedGraph::new();
-    for &w in &csr.vwgt {
-        g.add_node(w);
-    }
-    for v in 0..csr.num_nodes() {
-        for (u, w) in csr.neighbor_iter(v) {
-            if v < u {
-                g.add_edge(NodeId::from_index(v), NodeId::from_index(u), w)
-                    .expect("CSR encodes a simple graph");
-            }
-        }
-    }
-    g
 }
 
 #[cfg(test)]
@@ -227,70 +158,34 @@ mod tests {
     fn csr_shape_matches_graph() {
         let g = path4();
         let c = Csr::from_graph(&g);
-        assert_eq!(c.num_nodes(), 4);
-        assert_eq!(c.num_edges(), 3);
+        let v = c.view();
+        assert_eq!(v.num_nodes(), 4);
+        assert_eq!(v.num_edges(), 3);
         assert_eq!(c.xadj, vec![0, 1, 3, 5, 6]);
-        assert_eq!(c.degree(0), 1);
-        assert_eq!(c.degree(1), 2);
-        assert_eq!(c.total_node_weight(), 10);
-        assert_eq!(c.total_edge_weight(), 6);
+        assert_eq!(v.degree(0), 1);
+        assert_eq!(v.degree(1), 2);
+        assert_eq!(v.total_node_weight(), 10);
+        assert_eq!(v.total_edge_weight(), 6);
+        assert_eq!(v.max_node_weight(), 4);
+        assert_eq!(v.neighbors(1), &[0, 2]);
+        assert_eq!(v.neighbor_weights(1), &[1, 2]);
     }
 
     #[test]
     fn neighbor_iter_pairs_weights() {
         let g = path4();
         let c = Csr::from_graph(&g);
-        let nbrs: Vec<_> = c.neighbor_iter(1).collect();
+        let nbrs: Vec<_> = CsrView::from(&c).neighbor_iter(1).collect();
         assert_eq!(nbrs, vec![(0, 1), (2, 2)]);
-    }
-
-    #[test]
-    fn roundtrip_to_graph() {
-        let g = path4();
-        let c = Csr::from_graph(&g);
-        let g2 = csr_to_graph(&c);
-        g2.validate().unwrap();
-        assert_eq!(g2.num_nodes(), g.num_nodes());
-        assert_eq!(g2.num_edges(), g.num_edges());
-        assert_eq!(g2.total_edge_weight(), g.total_edge_weight());
-        for v in g.node_ids() {
-            assert_eq!(g2.node_weight(v), g.node_weight(v));
-        }
-    }
-
-    #[test]
-    fn from_ref_impl() {
-        let g = path4();
-        let c: Csr = (&g).into();
-        assert_eq!(c.num_nodes(), 4);
     }
 
     #[test]
     fn empty_graph_csr() {
         let g = WeightedGraph::new();
         let c = Csr::from_graph(&g);
-        assert_eq!(c.num_nodes(), 0);
-        assert_eq!(c.num_edges(), 0);
+        assert_eq!(c.view().num_nodes(), 0);
+        assert_eq!(c.view().num_edges(), 0);
         assert_eq!(c.xadj, vec![0]);
-    }
-
-    #[test]
-    fn view_mirrors_owned_csr() {
-        let g = path4();
-        let c = Csr::from_graph(&g);
-        let v: CsrView<'_> = (&c).into();
-        assert_eq!(v.num_nodes(), c.num_nodes());
-        assert_eq!(v.num_edges(), c.num_edges());
-        assert_eq!(v.total_node_weight(), c.total_node_weight());
-        assert_eq!(v.total_edge_weight(), c.total_edge_weight());
-        for n in 0..c.num_nodes() {
-            assert_eq!(v.neighbors(n), c.neighbors(n));
-            assert_eq!(v.neighbor_weights(n), c.neighbor_weights(n));
-            assert_eq!(v.degree(n), c.degree(n));
-            assert_eq!(
-                v.neighbor_iter(n).collect::<Vec<_>>(),
-                c.neighbor_iter(n).collect::<Vec<_>>()
-            );
-        }
+        assert_eq!(c.view().max_node_weight(), 0);
     }
 }

@@ -53,6 +53,33 @@ pub trait GraphView: Sync {
     }
 }
 
+/// The first structural difference between `a` and `b` — shape, a node
+/// weight, an adjacency entry (neighbour and edge id, in order), or an
+/// edge in id order — or `None` when both views describe the same graph
+/// in the same orders. These are exactly the orders the seeded
+/// heuristics consume, so tests use this to pin two representations of
+/// one graph (an arena level and a `WeightedGraph`, say) to each other.
+pub fn structural_diff(a: &dyn GraphView, b: &dyn GraphView) -> Option<String> {
+    let shape = |g: &dyn GraphView| (g.num_nodes(), g.num_edges());
+    if shape(a) != shape(b) {
+        return Some(format!("(nodes, edges) {:?} vs {:?}", shape(a), shape(b)));
+    }
+    for v in (0..a.num_nodes()).map(NodeId::from_index) {
+        if a.node_weight(v) != b.node_weight(v) {
+            return Some(format!("weight of {v:?}"));
+        }
+        let adj = |g: &dyn GraphView| (0..g.degree(v)).map(|i| g.neighbor(v, i)).collect();
+        let (xa, xb): (Vec<_>, Vec<_>) = (adj(a), adj(b));
+        if xa != xb {
+            return Some(format!("adjacency of {v:?}: {xa:?} vs {xb:?}"));
+        }
+    }
+    (0..a.num_edges())
+        .map(EdgeId::from_index)
+        .find(|&e| a.edge(e) != b.edge(e))
+        .map(|e| format!("edge {e:?}: {:?} vs {:?}", a.edge(e), b.edge(e)))
+}
+
 impl GraphView for WeightedGraph {
     #[inline]
     fn num_nodes(&self) -> usize {

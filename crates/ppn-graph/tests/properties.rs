@@ -1,7 +1,8 @@
 //! Property-based tests for the graph substrate: contraction invariants,
-//! incremental metric consistency, and I/O round-trips on arbitrary
-//! graphs.
+//! induced-subproblem construction, incremental metric consistency, and
+//! I/O round-trips on arbitrary graphs.
 
+use ppn_graph::arena::LevelArena;
 use ppn_graph::boundary::Boundary;
 use ppn_graph::contract::contract;
 use ppn_graph::csr::Csr;
@@ -10,6 +11,7 @@ use ppn_graph::matching::random_maximal_matching;
 use ppn_graph::metrics::{edge_cut, CutMatrix};
 use ppn_graph::partition::Partition;
 use ppn_graph::prng::XorShift128Plus;
+use ppn_graph::view::structural_diff;
 use ppn_graph::{NodeId, WeightedGraph};
 use proptest::prelude::*;
 
@@ -43,8 +45,56 @@ fn arb_partition(n: usize, k: usize, seed: u64) -> Partition {
     Partition::from_assignment(assign, k).unwrap()
 }
 
+/// The `WeightedGraph` route to an induced subproblem, kept as the
+/// oracle of [`LevelArena::induced`]: build the induced graph edge by
+/// edge (each edge from its lower sub id, in selection and adjacency
+/// order), then seed an arena from it.
+fn induced_reference(g: &WeightedGraph, nodes: &[NodeId]) -> LevelArena {
+    let mut to_sub = vec![u32::MAX; g.num_nodes()];
+    let mut sub = WeightedGraph::new();
+    for &v in nodes {
+        to_sub[v.index()] = sub.add_node(g.node_weight(v)).0;
+    }
+    for &v in nodes {
+        let sv = to_sub[v.index()];
+        for &(u, e) in g.neighbors(v) {
+            let su = to_sub[u.index()];
+            if su != u32::MAX && sv < su {
+                sub.add_edge(NodeId(sv), NodeId(su), g.edge_weight(e))
+                    .unwrap();
+            }
+        }
+    }
+    LevelArena::from_graph(&sub)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn induced_level_matches_the_weighted_graph_route(
+        g in arb_graph(),
+        mask in any::<u64>(),
+        seed in any::<u64>(),
+        shuffle in any::<bool>()
+    ) {
+        let mut nodes: Vec<NodeId> = g
+            .node_ids()
+            .filter(|v| (mask >> (v.index() % 60)) & 1 == 1)
+            .collect();
+        if shuffle {
+            XorShift128Plus::new(seed).shuffle(&mut nodes);
+        }
+        let csr = Csr::from_graph(&g);
+        let built = LevelArena::induced(csr.view(), &nodes);
+        let want = induced_reference(&g, &nodes);
+        prop_assert_eq!(built.size_trace(), vec![nodes.len()]);
+        // node weights, edges in id order, adjacency with edge ids
+        prop_assert_eq!(structural_diff(&built.level(0), &want.level(0)), None);
+        let (a, b) = (built.level(0).csr_view(), want.level(0).csr_view());
+        prop_assert_eq!((a.xadj, a.adjncy, a.adjwgt), (b.xadj, b.adjncy, b.adjwgt));
+        prop_assert_eq!(built.total_bytes(), want.total_bytes());
+    }
 
     #[test]
     fn contraction_preserves_node_weight(g in arb_graph(), seed in any::<u64>()) {

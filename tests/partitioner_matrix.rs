@@ -19,6 +19,7 @@ use ppn_partition::ppn_backend::{
 };
 use ppn_partition::ppn_gen::community_graph;
 use ppn_partition::ppn_graph::metrics::edge_cut;
+use ppn_partition::ppn_graph::Csr;
 use ppn_partition::{backend_by_name, Partition, PartitionInstance};
 
 fn matrix_seed() -> u64 {
@@ -176,7 +177,8 @@ fn fm_recovers_the_planted_bisection() {
     let g = community_graph(2, 10, 1, 10, 1, 17);
     let assign: Vec<u32> = (0..g.num_nodes()).map(|i| (i % 2) as u32).collect();
     let mut fm_p = Partition::from_assignment(assign, 2).unwrap();
-    fm_refine_bisection(&g, &mut fm_p, &FmOptions::balanced(&g, 1.1));
+    let csr = Csr::from_graph(&g);
+    fm_refine_bisection(csr.view(), &mut fm_p, &FmOptions::balanced(csr.view(), 1.1));
     let fm_cut = edge_cut(&g, &fm_p);
     assert!(fm_cut <= 4, "FM stuck at {fm_cut}");
 }
