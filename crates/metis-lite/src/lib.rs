@@ -163,7 +163,7 @@ pub fn kway_partition(g: &WeightedGraph, k: usize, opts: &MetisOptions) -> KwayR
 mod tests {
     use super::*;
     use ppn_graph::metrics::{edge_cut, imbalance};
-    use ppn_graph::NodeId;
+    use ppn_graph::{EdgeId, NodeId};
 
     fn grid(w: usize, h: usize) -> WeightedGraph {
         let mut g = WeightedGraph::new();
@@ -194,17 +194,40 @@ mod tests {
     fn weights_preserved_through_hierarchy() {
         let g = grid(16, 16);
         let h = heavy_edge_hierarchy(&g, 50, 2);
-        for i in 1..h.num_levels() {
+        for i in 0..h.num_levels() {
             let coarse = h.level(i);
+            let n = coarse.num_nodes();
             assert_eq!(coarse.total_node_weight(), g.total_node_weight());
-            // every adjacency entry names an edge between its two ends
-            for v in (0..coarse.num_nodes()).map(NodeId::from_index) {
+            for v in (0..n).map(NodeId::from_index) {
+                assert!(coarse.node_weight(v) > 0, "level {i}: zero weight {v:?}");
+            }
+            for e in (0..coarse.num_edges()).map(EdgeId::from_index) {
+                let (a, b, w) = coarse.edge(e);
+                assert!(a != b && w > 0, "level {i}: bad edge {e:?}");
+                assert!(a.index() < n && b.index() < n, "level {i}: {e:?}");
+            }
+            // every adjacency entry names an edge between its two ends,
+            // every edge is named exactly twice, and no neighbour repeats
+            let mut incidences = vec![0u32; coarse.num_edges()];
+            let mut last_seen_from = vec![usize::MAX; n];
+            for v in (0..n).map(NodeId::from_index) {
                 for j in 0..coarse.degree(v) {
                     let (u, e) = coarse.neighbor(v, j);
                     let (a, b, _) = coarse.edge(e);
                     assert!((a, b) == (u, v) || (a, b) == (v, u), "level {i}");
+                    incidences[e.index()] += 1;
+                    assert_ne!(
+                        last_seen_from[u.index()],
+                        v.index(),
+                        "level {i}: parallel edge"
+                    );
+                    last_seen_from[u.index()] = v.index();
                 }
             }
+            assert!(
+                incidences.iter().all(|&c| c == 2),
+                "level {i}: dangling edge"
+            );
         }
     }
 
