@@ -1,14 +1,15 @@
 //! Coarsening hot-path benches on the dense-community family (the same
 //! graphs the `perf` harness scales over): each matching heuristic in
 //! isolation — including the node-scan HEM variant against the paper's
-//! sort-based HEM — and marker-array contraction against the
+//! sort-based HEM — and the arena's marker-array contraction against the
 //! `find_edge`-probing reference.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gp_core::coarsen::run_matching;
 use gp_core::MatchingKind;
 use ppn_gen::dense_community_graph;
-use ppn_graph::contract::{contract_reference, contract_with, ContractScratch};
+use ppn_graph::arena::LevelArena;
+use ppn_graph::contract::contract_reference;
 use ppn_graph::matching::random_maximal_matching;
 
 fn bench_coarsen(c: &mut Criterion) {
@@ -29,9 +30,11 @@ fn bench_coarsen(c: &mut Criterion) {
     group.bench_function("reference", |b| {
         b.iter(|| contract_reference(&g, &m).0.num_edges())
     });
-    let mut scratch = ContractScratch::new();
-    group.bench_function("marker_array", |b| {
-        b.iter(|| contract_with(&g, &m, &mut scratch).0.num_edges())
+    // Each iteration contracts a fresh copy of the one-level arena, so
+    // the copy is part of the measured time.
+    let base = LevelArena::from_graph(&g);
+    group.bench_function("arena_contract_top", |b| {
+        b.iter(|| base.clone().contract_top(&m))
     });
     group.finish();
 }

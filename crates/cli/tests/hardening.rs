@@ -42,27 +42,50 @@ fn write_graph(dir: &Path, nodes: &str, edges: &str, seed: &str) -> PathBuf {
     path
 }
 
+fn partition_metis(path: &Path) -> Output {
+    gp().args([
+        "partition",
+        "--input",
+        path.to_str().unwrap(),
+        "--k",
+        "2",
+        "--rmax",
+        "1000",
+        "--bmax",
+        "1000",
+    ])
+    .output()
+    .unwrap()
+}
+
 #[test]
 fn truncated_metis_input_is_rejected() {
     let dir = temp_dir("truncated");
     let path = dir.join("bad.metis");
     // header promises 4 nodes / 3 edges, body delivers one line
     std::fs::write(&path, "4 3 011\n30 2 5\n").unwrap();
-    let run = gp()
-        .args([
-            "partition",
-            "--input",
-            path.to_str().unwrap(),
-            "--k",
-            "2",
-            "--rmax",
-            "1000",
-            "--bmax",
-            "1000",
-        ])
-        .output()
-        .unwrap();
-    assert_clean_failure(&run, "error:");
+    assert_clean_failure(&partition_metis(&path), "error:");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn metis_isolated_node_partitions() {
+    let dir = temp_dir("isolated");
+    let path = dir.join("isolated.metis");
+    // node 2's line is empty: it has no neighbours
+    std::fs::write(&path, "4 2\n3\n\n1 4\n3\n").unwrap();
+    let run = partition_metis(&path);
+    assert!(run.status.success(), "{}", stderr_of(&run));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn metis_one_sided_entry_is_rejected() {
+    let dir = temp_dir("one-sided");
+    let path = dir.join("one-sided.metis");
+    // node 3 lists node 1, which does not list it back
+    std::fs::write(&path, "3 1\n2\n1\n1\n").unwrap();
+    assert_clean_failure(&partition_metis(&path), "mirror");
     std::fs::remove_dir_all(&dir).ok();
 }
 

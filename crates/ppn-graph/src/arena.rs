@@ -19,15 +19,15 @@
 //!
 //! Equivalence contract: contracting the top level with
 //! [`LevelArena::contract_top`] produces *bit-identical* structure to
-//! [`contract_with`](crate::contract::contract_with) on the materialised
-//! graph — same coarse node order, same merged-edge emission order, same
-//! adjacency order (the `push_edge` order every seeded heuristic
-//! consumes). `gp-core`'s `gp_coarsen_reference` rebuilds the same
-//! hierarchy from owned graphs as the property-test oracle, the same
-//! pattern as `contract_reference`. Labels are the one thing the
-//! flat path drops: nothing in the partitioning pipeline reads them, and
-//! carrying per-node `Option<String>` is exactly the allocation the arena
-//! exists to avoid.
+//! [`contract_reference`](crate::contract::contract_reference) on the
+//! materialised graph — same coarse node order, same merged-edge
+//! emission order, same adjacency order (the `push_edge` order every
+//! seeded heuristic consumes). `gp-core`'s `gp_coarsen_reference`
+//! rebuilds the same hierarchy from owned graphs with that function as
+//! the property-test oracle. Labels are the one thing the flat path
+//! drops: nothing in the partitioning pipeline reads them, and carrying
+//! per-node `Option<String>` is exactly the allocation the arena exists
+//! to avoid.
 //!
 //! The parallel edge merge shards fine edges across worker threads
 //! (per-thread bucket counts + a deterministic shard-major merge), so its
@@ -264,7 +264,7 @@ impl LevelArena {
 
     /// Contract the top level along `matching`, appending the coarse
     /// level, and return its node count. Structure is bit-identical to
-    /// [`contract_with`](crate::contract::contract_with) on the
+    /// [`contract_reference`](crate::contract::contract_reference) on the
     /// materialised top graph (modulo labels, which the arena drops).
     /// Uses the sharded parallel merge above
     /// [`PARALLEL_EDGE_THRESHOLD`] edges.
@@ -465,11 +465,12 @@ impl GraphView for LevelView<'_> {
 }
 
 /// Serial coarse-edge merge: re-target fine edges `(eu, ev, ew)` through
-/// `map` and merge parallels with the counting-sort + last-seen-marker
-/// scheme of [`contract_with`](crate::contract::contract_with). Returns
-/// the coarse edge list `(u, v, w)` in emission order — ascending
+/// `map` and merge parallels with a counting sort over the smaller
+/// coarse endpoint plus a last-seen marker over the larger. Returns the
+/// coarse edge list `(u, v, w)` in emission order — ascending
 /// smallest-fine-id representative, fine orientation preserved — which is
-/// exactly the reference's `add_or_merge_edge` creation order.
+/// exactly [`contract_reference`](crate::contract::contract_reference)'s
+/// `add_or_merge_edge` creation order.
 pub fn merge_coarse_edges_serial(
     eu: &[u32],
     ev: &[u32],
@@ -691,7 +692,7 @@ fn emit_coarse_edges(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contract::{contract_with, ContractScratch};
+    use crate::contract::contract_reference;
     use crate::matching::random_maximal_matching;
     use crate::prng::XorShift128Plus;
     use crate::view::structural_diff;
@@ -757,14 +758,13 @@ mod tests {
     }
 
     #[test]
-    fn contract_top_matches_contract_with() {
-        let mut scratch = ContractScratch::new();
+    fn contract_top_matches_contract_reference() {
         for seed in 0..10 {
             let g = random_graph(60, 50, seed);
             let m = random_maximal_matching(&g, seed ^ 0xA5);
             let mut arena = LevelArena::from_graph(&g);
             let cn = arena.contract_top(&m);
-            let (cg, cmap) = contract_with(&g, &m, &mut scratch);
+            let (cg, cmap) = contract_reference(&g, &m);
             assert_eq!(cn, cg.num_nodes(), "seed {seed}");
             assert_eq!(arena.map_slice(0), &cmap.map[..], "map, seed {seed}");
             assert_eq!(structural_diff(&arena.level(1), &cg), None);
@@ -772,15 +772,14 @@ mod tests {
     }
 
     #[test]
-    fn multi_level_contraction_matches_cow_chain() {
-        let mut scratch = ContractScratch::new();
+    fn multi_level_contraction_matches_reference_chain() {
         let g = random_graph(120, 90, 3);
         let mut arena = LevelArena::from_graph(&g);
         let mut current = g;
         for round in 0..4 {
             let m = random_maximal_matching(&current, 11 + round);
             arena.contract_top(&m);
-            let (cg, cmap) = contract_with(&current, &m, &mut scratch);
+            let (cg, cmap) = contract_reference(&current, &m);
             assert_eq!(
                 arena.map_slice(arena.num_levels() - 2),
                 &cmap.map[..],

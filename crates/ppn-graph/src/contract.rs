@@ -18,7 +18,7 @@ use crate::graph::WeightedGraph;
 use crate::ids::NodeId;
 use crate::matching::Matching;
 
-/// The fine→coarse node map produced by [`contract`].
+/// The fine→coarse node map produced by [`contract_reference`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CoarseMap {
     /// `map[fine] = coarse` index.
@@ -44,9 +44,9 @@ impl CoarseMap {
     }
 }
 
-/// First contraction pass, shared by the optimized and reference paths so
-/// they cannot drift: create coarse nodes (pairs when visiting the smaller
-/// endpoint, singletons for unmatched nodes) and fill the fine→coarse map.
+/// First contraction pass: create coarse nodes (pairs when visiting the
+/// smaller endpoint, singletons for unmatched nodes) and fill the
+/// fine→coarse map.
 /// Labels are combined as `"a+b"` for merged pairs so coarse nodes remain
 /// traceable in DOT dumps.
 fn build_coarse_nodes(
@@ -80,167 +80,13 @@ fn build_coarse_nodes(
     }
 }
 
-/// Fine edges absorbed into a coarse node carry this sentinel in
-/// [`ContractScratch::pair_a`].
-const ABSORBED: u32 = u32::MAX;
-
-/// Reusable working memory for [`contract_with`]. The multilevel loop
-/// contracts once per level; holding one scratch across levels makes the
-/// edge-merge pass allocation-free in steady state (every buffer is
-/// `clear()` + `resize()`d, so capacity is retained).
-#[derive(Clone, Debug, Default)]
-pub struct ContractScratch {
-    /// Normalized (min) coarse endpoint per fine edge, or [`ABSORBED`].
-    pair_a: Vec<u32>,
-    /// Normalized (max) coarse endpoint per fine edge.
-    pair_b: Vec<u32>,
-    /// Representative fine-edge id of each fine edge's coarse pair (the
-    /// smallest fine edge id mapping to the same pair).
-    rep: Vec<u32>,
-    /// Merged weight, accumulated at the representative's slot.
-    acc: Vec<u64>,
-    /// Counting-sort offsets over `pair_a` (coarse nodes + 1 entries).
-    counts: Vec<u32>,
-    /// Fine edge ids stably bucketed by `pair_a`.
-    order: Vec<u32>,
-    /// Last-seen marker per coarse node: `pair_a + 1` tags the group the
-    /// node was last seen in (groups have distinct `pair_a`, so tags
-    /// never collide across groups).
-    marker: Vec<u32>,
-    /// First-occurrence fine edge id per marked coarse node.
-    slot: Vec<u32>,
-}
-
-impl ContractScratch {
-    /// Fresh (empty) scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Contract `g` along `matching`, producing the coarse graph and the
-/// fine→coarse map. Equivalent to [`contract_reference`] (bit-identical
-/// output, property-tested) but merges parallel edges with the classic
-/// last-seen marker array in O(V + E) instead of an O(degree) `find_edge`
-/// probe per fine edge, and reuses `scratch` across calls.
-///
-/// The merge works in first-occurrence order so the coarse edge list —
-/// and therefore every seeded heuristic running on the coarse graph — is
-/// exactly what the reference produces: fine edges are bucketed stably by
-/// their smaller coarse endpoint (counting sort), parallels inside a
-/// bucket are detected with a marker keyed by the larger endpoint, and
-/// merged edges are emitted at the position of the smallest fine edge id
-/// of their pair, which is precisely the order in which the reference's
-/// incremental `add_or_merge_edge` loop creates them.
-pub fn contract_with(
-    g: &WeightedGraph,
-    matching: &Matching,
-    scratch: &mut ContractScratch,
-) -> (WeightedGraph, CoarseMap) {
-    assert_eq!(matching.len(), g.num_nodes(), "matching/graph mismatch");
-    let n = g.num_nodes();
-    let ne = g.num_edges();
-    let mut map = vec![u32::MAX; n];
-    let mut coarse = WeightedGraph::new();
-    build_coarse_nodes(g, matching, &mut map, &mut coarse);
-    let cn = coarse.num_nodes();
-
-    let s = scratch;
-    s.pair_a.clear();
-    s.pair_a.resize(ne, 0);
-    s.pair_b.clear();
-    s.pair_b.resize(ne, 0);
-    s.rep.clear();
-    s.rep.resize(ne, 0);
-    s.acc.clear();
-    s.acc.resize(ne, 0);
-    s.counts.clear();
-    s.counts.resize(cn + 1, 0);
-    s.marker.clear();
-    s.marker.resize(cn, 0);
-    s.slot.clear();
-    s.slot.resize(cn, 0);
-
-    // Normalize endpoints and count bucket sizes.
-    for (i, (u, v, _)) in g.edges().enumerate() {
-        let (cu, cv) = (map[u.index()], map[v.index()]);
-        if cu == cv {
-            s.pair_a[i] = ABSORBED; // internal to a pair: weight absorbed
-            continue;
-        }
-        let (a, b) = if cu < cv { (cu, cv) } else { (cv, cu) };
-        s.pair_a[i] = a;
-        s.pair_b[i] = b;
-        s.counts[a as usize] += 1;
-    }
-    // Prefix sums turn counts into running bucket cursors.
-    let mut sum = 0u32;
-    for c in s.counts.iter_mut() {
-        let here = *c;
-        *c = sum;
-        sum += here;
-    }
-    // Stable bucket by the smaller endpoint (ascending fine edge id
-    // within each bucket, so a pair's first entry is its smallest id).
-    s.order.clear();
-    s.order.resize(sum as usize, 0);
-    for i in 0..ne {
-        let a = s.pair_a[i];
-        if a != ABSORBED {
-            let cursor = &mut s.counts[a as usize];
-            s.order[*cursor as usize] = i as u32;
-            *cursor += 1;
-        }
-    }
-    // Merge parallels: within bucket `a`, the marker tags the larger
-    // endpoint with `a + 1`; the first hit records the representative,
-    // later hits accumulate onto it.
-    for &ei in &s.order {
-        let i = ei as usize;
-        let a = s.pair_a[i];
-        let b = s.pair_b[i] as usize;
-        let w = g.edge_weight(crate::ids::EdgeId::from_index(i));
-        if s.marker[b] != a + 1 {
-            s.marker[b] = a + 1;
-            s.slot[b] = ei;
-            s.rep[i] = ei;
-            s.acc[i] = w;
-        } else {
-            let r = s.slot[b];
-            s.rep[i] = r;
-            s.acc[r as usize] += w;
-        }
-    }
-    // Emit merged edges in ascending representative id = the reference's
-    // first-occurrence creation order, preserving the fine orientation.
-    for i in 0..ne {
-        if s.pair_a[i] != ABSORBED && s.rep[i] == i as u32 {
-            let (u, v, _) = g.edge(crate::ids::EdgeId::from_index(i));
-            coarse.push_edge_unchecked(NodeId(map[u.index()]), NodeId(map[v.index()]), s.acc[i]);
-        }
-    }
-
-    (
-        coarse,
-        CoarseMap {
-            map,
-            coarse_nodes: cn,
-        },
-    )
-}
-
-/// Contract `g` along `matching` with a one-shot scratch. Multilevel
-/// loops should hold a [`ContractScratch`] and call [`contract_with`]
-/// instead to avoid re-allocating the merge buffers every level.
-pub fn contract(g: &WeightedGraph, matching: &Matching) -> (WeightedGraph, CoarseMap) {
-    contract_with(g, matching, &mut ContractScratch::new())
-}
-
-/// The original contraction: re-target every fine edge through the map
-/// and merge parallels with `add_or_merge_edge`, which probes the coarse
-/// adjacency list per edge (O(E · coarse degree) worst case). Preserved
-/// verbatim as the property-test oracle and the perf-harness baseline —
-/// the same precedent as `gp-core`'s `constrained_refine_reference`.
+/// fine→coarse map: re-target every fine edge through the map and merge
+/// parallels with `add_or_merge_edge`, which probes the coarse adjacency
+/// list per edge (O(E · coarse degree) worst case). The shipping path is
+/// [`LevelArena::contract_top`](crate::arena::LevelArena::contract_top),
+/// bit-identical in structure and O(V + E); this one is its oracle and
+/// `gp-core`'s `gp_coarsen_reference` builds its hierarchy with it.
 pub fn contract_reference(g: &WeightedGraph, matching: &Matching) -> (WeightedGraph, CoarseMap) {
     assert_eq!(matching.len(), g.num_nodes(), "matching/graph mismatch");
     let n = g.num_nodes();
@@ -286,7 +132,7 @@ mod tests {
     fn contract_preserves_total_node_weight() {
         let g = k4();
         let m = random_maximal_matching(&g, 3);
-        let (c, map) = contract(&g, &m);
+        let (c, map) = contract_reference(&g, &m);
         assert_eq!(c.total_node_weight(), g.total_node_weight());
         assert_eq!(map.coarse_nodes, c.num_nodes());
         c.validate().unwrap();
@@ -305,7 +151,7 @@ mod tests {
         let mut m = Matching::empty(4);
         m.add_pair(n[0], n[1]);
         m.add_pair(n[2], n[3]);
-        let (c, _) = contract(&g, &m);
+        let (c, _) = contract_reference(&g, &m);
         assert_eq!(c.num_nodes(), 2);
         assert_eq!(c.num_edges(), 1);
         assert_eq!(c.total_edge_weight(), 6); // 2 + 4 cross, 1 + 3 absorbed
@@ -316,7 +162,7 @@ mod tests {
         let g = k4();
         for seed in 0..10 {
             let m = random_maximal_matching(&g, seed);
-            let (c, map) = contract(&g, &m);
+            let (c, map) = contract_reference(&g, &m);
             // arbitrary coarse partition: alternate parts
             let assign: Vec<u32> = (0..c.num_nodes() as u32).map(|i| i % 2).collect();
             let pc = Partition::from_assignment(assign, 2).unwrap();
@@ -335,7 +181,7 @@ mod tests {
         g.add_edge(b, c0, 3).unwrap();
         let mut m = Matching::empty(3);
         m.add_pair(a, b);
-        let (c, map) = contract(&g, &m);
+        let (c, map) = contract_reference(&g, &m);
         assert_eq!(c.num_nodes(), 2);
         // merged node weight 11, singleton weight 7
         let weights: Vec<u64> = c.node_ids().map(|v| c.node_weight(v)).collect();
@@ -351,66 +197,18 @@ mod tests {
     fn empty_matching_gives_isomorphic_graph() {
         let g = k4();
         let m = Matching::empty(4);
-        let (c, map) = contract(&g, &m);
+        let (c, map) = contract_reference(&g, &m);
         assert_eq!(c.num_nodes(), g.num_nodes());
         assert_eq!(c.num_edges(), g.num_edges());
         assert_eq!(c.total_edge_weight(), g.total_edge_weight());
         assert_eq!(map.groups().len(), 4);
     }
 
-    /// Structural equality of two graphs including edge/adjacency order
-    /// (WeightedGraph deliberately has no PartialEq; contraction
-    /// equivalence wants the exact representation, not isomorphism).
-    fn assert_same_graph(a: &WeightedGraph, b: &WeightedGraph) {
-        assert_eq!(a.num_nodes(), b.num_nodes());
-        assert_eq!(a.node_weights(), b.node_weights());
-        for v in a.node_ids() {
-            assert_eq!(a.label(v), b.label(v), "label of {v:?}");
-            assert_eq!(a.neighbors(v), b.neighbors(v), "adjacency of {v:?}");
-        }
-        let ea: Vec<_> = a.edges().collect();
-        let eb: Vec<_> = b.edges().collect();
-        assert_eq!(ea, eb);
-    }
-
-    #[test]
-    fn scratch_contract_matches_reference_bit_for_bit() {
-        let mut scratch = ContractScratch::new();
-        for seed in 0..20 {
-            let g = k4();
-            let m = random_maximal_matching(&g, seed);
-            let (c_opt, map_opt) = contract_with(&g, &m, &mut scratch);
-            let (c_ref, map_ref) = contract_reference(&g, &m);
-            assert_eq!(map_opt, map_ref, "seed {seed}");
-            assert_same_graph(&c_opt, &c_ref);
-        }
-    }
-
-    #[test]
-    fn scratch_contract_matches_reference_on_labeled_graphs() {
-        let mut g = WeightedGraph::new();
-        let ids: Vec<_> = (0..6)
-            .map(|i| g.add_labeled_node(1 + i as u64, format!("p{i}")))
-            .collect();
-        for i in 0..6 {
-            g.add_edge(ids[i], ids[(i + 1) % 6], 1 + i as u64).unwrap();
-            let _ = g.add_or_merge_edge(ids[i], ids[(i + 2) % 6], 2);
-        }
-        let mut m = Matching::empty(6);
-        m.add_pair(ids[0], ids[1]);
-        m.add_pair(ids[2], ids[4]);
-        let (c_opt, map_opt) = contract(&g, &m);
-        let (c_ref, map_ref) = contract_reference(&g, &m);
-        assert_eq!(map_opt, map_ref);
-        assert_same_graph(&c_opt, &c_ref);
-        assert_eq!(c_opt.label(map_opt.coarse_of(ids[0])), Some("p0+p1"));
-    }
-
     #[test]
     fn groups_partition_fine_nodes() {
         let g = k4();
         let m = random_maximal_matching(&g, 11);
-        let (_, map) = contract(&g, &m);
+        let (_, map) = contract_reference(&g, &m);
         let groups = map.groups();
         let total: usize = groups.iter().map(|g| g.len()).sum();
         assert_eq!(total, 4);

@@ -2,9 +2,10 @@
 //!
 //! Node weights model FPGA resources consumed by a process; edge weights
 //! model sustained bandwidth over the FIFO channels between two processes.
-//! The representation is an adjacency list over flat vectors — cheap to
-//! clone (the multilevel hierarchy keeps one graph per level) and cheap to
-//! traverse.
+//! The representation is an adjacency list over flat vectors. It is the
+//! ingest and mutation type (I/O, generators, deltas); partitioners read
+//! a CSR snapshot of it, and the multilevel hierarchy lives in a flat
+//! [`LevelArena`](crate::arena::LevelArena), not in one graph per level.
 
 use crate::error::GraphError;
 use crate::ids::{EdgeId, NodeId};
@@ -180,10 +181,10 @@ impl WeightedGraph {
     }
 
     /// Append `u -- v` with weight `w` without the duplicate-edge probe.
-    /// Contraction calls this after its marker pass has already merged
-    /// parallel edges, so the O(degree) `find_edge` scan inside
-    /// [`add_or_merge_edge`](WeightedGraph::add_or_merge_edge) would only
-    /// re-verify what the caller guarantees (debug-asserted here).
+    /// Delta application and the METIS reader call this once they have
+    /// ruled out duplicates themselves, so the O(degree) `find_edge` scan
+    /// inside [`add_edge`](WeightedGraph::add_edge) would only re-verify
+    /// what the caller guarantees (debug-asserted here).
     pub(crate) fn push_edge_unchecked(&mut self, u: NodeId, v: NodeId, w: u64) -> EdgeId {
         debug_assert!(u != v, "self loop");
         debug_assert!(w > 0, "zero weight");

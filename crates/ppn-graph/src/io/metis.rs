@@ -5,64 +5,57 @@
 //! vertex sizes (unsupported here), `b` = has vertex weights, `c` = has
 //! edge weights. Each following line lists, for node `i` (1-based), its
 //! optional weights then pairs `neighbour [weight]`. Comment lines start
-//! with `%`. We always *write* fmt `011` (vertex + edge weights) since the
-//! partitioning problem is weighted on both.
+//! with `%` and may appear anywhere. After the header an empty line is a
+//! node with no neighbours; blank lines after the `n`-th node line are
+//! ignored. As in METIS, a self loop, a neighbour listed twice on one
+//! line, and an entry whose mirror is missing or carries another weight
+//! are rejected. We always *write* fmt `011` (vertex + edge weights)
+//! since the partitioning problem is weighted on both.
 
 use crate::error::GraphError;
 use crate::graph::WeightedGraph;
-use crate::ids::NodeId;
+use crate::ids::{EdgeId, NodeId};
 use std::fmt::Write as _;
 
-/// Parse a METIS-format graph from text.
-pub fn parse(text: &str) -> Result<WeightedGraph, GraphError> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.trim()))
-        .filter(|(_, l)| !l.starts_with('%') && !l.is_empty());
+fn parse_err(line: usize, msg: impl Into<String>) -> GraphError {
+    GraphError::Parse {
+        line,
+        msg: msg.into(),
+    }
+}
 
-    let (hline, header) = lines.next().ok_or(GraphError::Parse {
-        line: 1,
-        msg: "empty file".into(),
-    })?;
-    let head: Vec<&str> = header.split_whitespace().collect();
-    if head.len() < 2 {
-        return Err(GraphError::Parse {
-            line: hline,
-            msg: "header needs at least `n m`".into(),
-        });
-    }
-    let n: usize = head[0].parse().map_err(|_| GraphError::Parse {
-        line: hline,
-        msg: "bad node count".into(),
-    })?;
-    let m: usize = head[1].parse().map_err(|_| GraphError::Parse {
-        line: hline,
-        msg: "bad edge count".into(),
-    })?;
-    let fmt = if head.len() >= 3 { head[2] } else { "000" };
-    let has_vsize = fmt.len() == 3 && fmt.as_bytes()[0] == b'1';
-    let has_vwgt = fmt.len() >= 2 && fmt.as_bytes()[fmt.len() - 2] == b'1';
-    let has_ewgt = !fmt.is_empty() && fmt.as_bytes()[fmt.len() - 1] == b'1';
+/// Parse a METIS-format graph from text in one pass. Each edge is
+/// appended when its lower-numbered endpoint's line lists it (so edge ids
+/// follow the lower endpoint, then the order on its line) and checked off
+/// when the higher endpoint's line lists it back.
+pub fn parse(text: &str) -> Result<WeightedGraph, GraphError> {
+    let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l.trim()));
+    let (hline, header) = lines
+        .by_ref()
+        .find(|(_, l)| !l.is_empty() && !l.starts_with('%'))
+        .ok_or_else(|| parse_err(1, "empty file"))?;
+    let mut head = header.split_ascii_whitespace();
+    let (Some(n), Some(m)) = (head.next(), head.next()) else {
+        return Err(parse_err(hline, "header needs at least `n m`"));
+    };
+    let n: usize = n.parse().map_err(|_| parse_err(hline, "bad node count"))?;
+    let m: usize = m.parse().map_err(|_| parse_err(hline, "bad edge count"))?;
+    let fmt = head.next().unwrap_or("000").as_bytes();
+    let has_vsize = fmt.len() == 3 && fmt[0] == b'1';
+    let has_vwgt = fmt.len() >= 2 && fmt[fmt.len() - 2] == b'1';
+    let has_ewgt = fmt.last() == Some(&b'1');
     if has_vsize {
-        return Err(GraphError::Parse {
-            line: hline,
-            msg: "vertex sizes (fmt=1xx) not supported".into(),
-        });
+        return Err(parse_err(hline, "vertex sizes (fmt=1xx) not supported"));
     }
-    let ncon: usize = if head.len() >= 4 {
-        head[3].parse().map_err(|_| GraphError::Parse {
-            line: hline,
-            msg: "bad ncon".into(),
-        })?
-    } else {
-        1
+    let ncon: usize = match head.next() {
+        Some(t) => t.parse().map_err(|_| parse_err(hline, "bad ncon"))?,
+        None => 1,
     };
     if ncon != 1 {
-        return Err(GraphError::Parse {
-            line: hline,
-            msg: "multiple vertex weights (ncon > 1) not supported".into(),
-        });
+        return Err(parse_err(
+            hline,
+            "multiple vertex weights (ncon > 1) not supported",
+        ));
     }
     // Allocation-bomb guard: a header cannot claim more nodes or edges
     // than the payload has bytes to describe them. Every node costs at
@@ -72,141 +65,113 @@ pub fn parse(text: &str) -> Result<WeightedGraph, GraphError> {
     // like `999999999999 999999999999` fails in O(1).
     let payload = text.len();
     if n > payload || m > payload / 4 {
-        return Err(GraphError::Parse {
-            line: hline,
-            msg: format!(
+        return Err(parse_err(
+            hline,
+            format!(
                 "header claims {n} nodes and {m} edges but the payload is only {payload} bytes"
             ),
-        });
+        ));
     }
 
     let mut g = WeightedGraph::new();
-    struct Pending {
-        line: usize,
-        u: usize,
-        v: usize,
-        w: u64,
+    g.reserve(n, m);
+    for _ in 0..n {
+        g.add_node(1);
     }
-    let mut pend: Vec<Pending> = Vec::new();
-
-    let mut count = 0usize;
+    // `listed[v] == u` once node u's line has named v; `mirrored[e]` once
+    // the higher endpoint's line has named edge e back.
+    let mut listed = vec![usize::MAX; n];
+    let mut mirrored: Vec<bool> = Vec::with_capacity(m);
+    let mut u = 0usize;
     for (lineno, line) in lines {
-        if count >= n {
-            return Err(GraphError::Parse {
-                line: lineno,
-                msg: format!("more than {n} node lines"),
-            });
+        if line.starts_with('%') {
+            continue;
         }
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        let mut idx = 0;
-        let vw: u64 = if has_vwgt {
-            let w = toks
-                .first()
-                .ok_or(GraphError::Parse {
-                    line: lineno,
-                    msg: "missing vertex weight".into(),
-                })?
-                .parse()
-                .map_err(|_| GraphError::Parse {
-                    line: lineno,
-                    msg: "bad vertex weight".into(),
-                })?;
-            idx = 1;
-            w
-        } else {
-            1
-        };
-        if vw == 0 {
-            return Err(GraphError::Parse {
-                line: lineno,
-                msg: "vertex weight must be positive".into(),
-            });
-        }
-        g.add_node(vw);
-        let u = count;
-        count += 1;
-
-        while idx < toks.len() {
-            let nbr: usize = toks[idx].parse().map_err(|_| GraphError::Parse {
-                line: lineno,
-                msg: format!("bad neighbour `{}`", toks[idx]),
-            })?;
-            if nbr == 0 || nbr > n {
-                return Err(GraphError::Parse {
-                    line: lineno,
-                    msg: format!("neighbour {nbr} out of range 1..={n}"),
-                });
+        if u == n {
+            if line.is_empty() {
+                continue;
             }
-            idx += 1;
+            return Err(parse_err(lineno, format!("more than {n} node lines")));
+        }
+        let node = NodeId::from_index(u);
+        let mut toks = line.split_ascii_whitespace();
+        if has_vwgt {
+            let w: u64 = toks
+                .next()
+                .ok_or_else(|| parse_err(lineno, "missing vertex weight"))?
+                .parse()
+                .map_err(|_| parse_err(lineno, "bad vertex weight"))?;
+            if w == 0 {
+                return Err(parse_err(lineno, "vertex weight must be positive"));
+            }
+            g.set_node_weight(node, w);
+        }
+        // The edges lower-numbered lines created to `node`, in ascending
+        // neighbour order; this line's own edges are appended after them.
+        let lower = g.degree(node);
+        while let Some(tok) = toks.next() {
+            let nbr: usize = tok
+                .parse()
+                .map_err(|_| parse_err(lineno, format!("bad neighbour `{tok}`")))?;
+            if nbr == 0 || nbr > n {
+                return Err(parse_err(
+                    lineno,
+                    format!("neighbour {nbr} out of range 1..={n}"),
+                ));
+            }
             let w: u64 = if has_ewgt {
-                let w = toks
-                    .get(idx)
-                    .ok_or(GraphError::Parse {
-                        line: lineno,
-                        msg: "missing edge weight".into(),
-                    })?
+                toks.next()
+                    .ok_or_else(|| parse_err(lineno, "missing edge weight"))?
                     .parse()
-                    .map_err(|_| GraphError::Parse {
-                        line: lineno,
-                        msg: "bad edge weight".into(),
-                    })?;
-                idx += 1;
-                w
+                    .map_err(|_| parse_err(lineno, "bad edge weight"))?
             } else {
                 1
             };
-            pend.push(Pending {
-                line: lineno,
-                u,
-                v: nbr - 1,
-                w,
-            });
-        }
-    }
-    if count != n {
-        return Err(GraphError::Parse {
-            line: 0,
-            msg: format!("expected {n} node lines, found {count}"),
-        });
-    }
-
-    // Each undirected edge is listed twice; insert when u < v and verify
-    // the mirror entry agrees.
-    let mut mirror = std::collections::HashMap::new();
-    for p in &pend {
-        mirror.insert((p.u, p.v), p.w);
-    }
-    let mut added = 0usize;
-    for p in &pend {
-        if p.u < p.v {
-            match mirror.get(&(p.v, p.u)) {
-                Some(&w) if w == p.w => {}
-                Some(_) => {
-                    return Err(GraphError::Parse {
-                        line: p.line,
-                        msg: format!("asymmetric weight on edge {}-{}", p.u + 1, p.v + 1),
-                    })
-                }
-                None => {
-                    return Err(GraphError::Parse {
-                        line: p.line,
-                        msg: format!("edge {}-{} missing its mirror entry", p.u + 1, p.v + 1),
-                    })
-                }
+            if w == 0 {
+                return Err(parse_err(lineno, "edge weight must be positive"));
             }
-            g.add_edge(NodeId::from_index(p.u), NodeId::from_index(p.v), p.w)
-                .map_err(|e| GraphError::Parse {
-                    line: p.line,
-                    msg: e.to_string(),
-                })?;
-            added += 1;
+            let v = nbr - 1;
+            if v == u {
+                return Err(parse_err(lineno, format!("self loop on node {nbr}")));
+            }
+            if listed[v] == u {
+                return Err(parse_err(lineno, format!("duplicate neighbour {nbr}")));
+            }
+            listed[v] = u;
+            if v > u {
+                g.push_edge_unchecked(node, NodeId::from_index(v), w);
+                mirrored.push(false);
+                continue;
+            }
+            let created = &g.neighbors(node)[..lower];
+            let Ok(i) = created.binary_search_by_key(&NodeId::from_index(v), |&(x, _)| x) else {
+                let msg = format!("edge {nbr}-{} missing its mirror entry", u + 1);
+                return Err(parse_err(lineno, msg));
+            };
+            let e = created[i].1;
+            if g.edge_weight(e) != w {
+                let msg = format!("asymmetric weight on edge {nbr}-{}", u + 1);
+                return Err(parse_err(lineno, msg));
+            }
+            mirrored[e.index()] = true;
         }
+        u += 1;
     }
-    if added != m {
-        return Err(GraphError::Parse {
-            line: 0,
-            msg: format!("header declared {m} edges, found {added}"),
-        });
+    if u != n {
+        return Err(parse_err(0, format!("expected {n} node lines, found {u}")));
+    }
+    if let Some(e) = mirrored.iter().position(|&done| !done) {
+        let (a, b, _) = g.edge(EdgeId::from_index(e));
+        return Err(parse_err(
+            0,
+            format!("edge {}-{} missing its mirror entry", a.0 + 1, b.0 + 1),
+        ));
+    }
+    if g.num_edges() != m {
+        return Err(parse_err(
+            0,
+            format!("header declared {m} edges, found {}", g.num_edges()),
+        ));
     }
     Ok(g)
 }
@@ -293,6 +258,35 @@ mod tests {
     fn rejects_missing_mirror() {
         let text = "3 1 000\n2\n\n\n";
         assert!(parse(text).is_err());
+    }
+
+    #[test]
+    fn empty_lines_are_isolated_nodes() {
+        for text in ["3 1\n2\n1\n\n", "3 1\n3\n\n1\n"] {
+            let g = parse(text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+            assert_eq!((g.num_nodes(), g.num_edges()), (3, 1), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn rejects_self_loop() {
+        let err = parse("2 1\n1 2\n1\n").unwrap_err();
+        assert!(err.to_string().contains("self loop"), "{err}");
+    }
+
+    #[test]
+    fn rejects_entry_listed_only_by_the_higher_node() {
+        let err = parse("3 1\n2\n1\n1\n").unwrap_err();
+        assert!(err.to_string().contains("mirror"), "{err}");
+    }
+
+    #[test]
+    fn rejects_duplicate_neighbour() {
+        // listed twice by the lower node, then by the higher node
+        for text in ["2 1\n2 2\n1\n", "2 1\n2\n1 1\n"] {
+            let err = parse(text).unwrap_err();
+            assert!(err.to_string().contains("duplicate"), "{text:?}: {err}");
+        }
     }
 
     #[test]

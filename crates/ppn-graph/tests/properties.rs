@@ -4,7 +4,7 @@
 
 use ppn_graph::arena::LevelArena;
 use ppn_graph::boundary::Boundary;
-use ppn_graph::contract::contract;
+use ppn_graph::contract::contract_reference;
 use ppn_graph::csr::Csr;
 use ppn_graph::io::{matrix, metis};
 use ppn_graph::matching::random_maximal_matching;
@@ -101,7 +101,7 @@ proptest! {
         let m = random_maximal_matching(&g, seed);
         prop_assert!(m.validate(&g));
         prop_assert!(m.is_maximal(&g));
-        let (c, map) = contract(&g, &m);
+        let (c, map) = contract_reference(&g, &m);
         prop_assert_eq!(c.total_node_weight(), g.total_node_weight());
         prop_assert_eq!(map.coarse_nodes, c.num_nodes());
         c.validate().unwrap();
@@ -111,32 +111,11 @@ proptest! {
     fn contraction_preserves_crossing_weight(g in arb_graph(), seed in any::<u64>()) {
         // total fine edge weight = coarse edge weight + absorbed weight
         let m = random_maximal_matching(&g, seed);
-        let (c, _) = contract(&g, &m);
+        let (c, _) = contract_reference(&g, &m);
         prop_assert_eq!(
             g.total_edge_weight(),
             c.total_edge_weight() + m.absorbed_weight(&g)
         );
-    }
-
-    #[test]
-    fn scratch_contract_equals_reference(g in arb_graph(), seeds in proptest::collection::vec(any::<u64>(), 1..4)) {
-        // one scratch reused across several matchings of the same graph —
-        // exactly the multilevel loop's usage pattern
-        let mut scratch = ppn_graph::ContractScratch::new();
-        for seed in seeds {
-            let m = random_maximal_matching(&g, seed);
-            let (c_opt, map_opt) = ppn_graph::contract_with(&g, &m, &mut scratch);
-            let (c_ref, map_ref) = ppn_graph::contract_reference(&g, &m);
-            prop_assert_eq!(map_opt, map_ref);
-            prop_assert_eq!(c_opt.num_nodes(), c_ref.num_nodes());
-            prop_assert_eq!(c_opt.node_weights(), c_ref.node_weights());
-            let eo: Vec<_> = c_opt.edges().collect();
-            let er: Vec<_> = c_ref.edges().collect();
-            prop_assert_eq!(eo, er);
-            for v in c_opt.node_ids() {
-                prop_assert_eq!(c_opt.neighbors(v), c_ref.neighbors(v));
-            }
-        }
     }
 
     #[test]
@@ -148,7 +127,7 @@ proptest! {
     #[test]
     fn projected_cut_matches_coarse_cut(g in arb_graph(), seed in any::<u64>(), k in 2usize..5) {
         let m = random_maximal_matching(&g, seed);
-        let (c, map) = contract(&g, &m);
+        let (c, map) = contract_reference(&g, &m);
         let pc = arb_partition(c.num_nodes(), k, seed);
         let pf = pc.project(&map.map);
         prop_assert_eq!(edge_cut(&c, &pc), edge_cut(&g, &pf));
@@ -254,6 +233,46 @@ proptest! {
             let e = g2.find_edge(u, v).unwrap();
             prop_assert_eq!(g2.edge_weight(e), w);
         }
+    }
+
+    #[test]
+    fn metis_parse_numbers_edges_by_lower_endpoint(g in arb_graph(), seed in any::<u64>()) {
+        // Insert g's edges in a shuffled order and orientation, so its ids
+        // and adjacency order differ from what the reader must produce.
+        let mut edges: Vec<_> = g.edges().collect();
+        let mut rng = XorShift128Plus::new(seed);
+        rng.shuffle(&mut edges);
+        let nodes_of = |g: &WeightedGraph| {
+            let mut h = WeightedGraph::new();
+            for &w in g.node_weights() {
+                h.add_node(w);
+            }
+            h
+        };
+        let mut g = nodes_of(&g);
+        for (u, v, w) in edges {
+            let (a, b) = if rng.next_u64() & 1 == 0 { (u, v) } else { (v, u) };
+            g.add_edge(a, b, w).unwrap();
+        }
+        // The reader's order: for each node u in order, its neighbours
+        // v > u in ascending id order.
+        let mut want = nodes_of(&g);
+        for u in g.node_ids() {
+            let mut higher: Vec<(NodeId, u64)> = g
+                .neighbors(u)
+                .iter()
+                .filter(|&&(v, _)| v > u)
+                .map(|&(v, e)| (v, g.edge_weight(e)))
+                .collect();
+            higher.sort_unstable();
+            for (v, w) in higher {
+                want.add_edge(u, v, w).unwrap();
+            }
+        }
+        let text = metis::write(&g);
+        let parsed = metis::parse(&text).unwrap();
+        prop_assert_eq!(structural_diff(&parsed, &want), None);
+        prop_assert_eq!(metis::write(&parsed), text);
     }
 
     #[test]

@@ -28,6 +28,20 @@ fn truncated_metis_is_a_parse_error() {
 }
 
 #[test]
+fn asymmetric_metis_weight_is_a_parse_error() {
+    let err = metis::parse(&fixture("asymmetric.metis")).unwrap_err();
+    let msg = err.to_string();
+    assert!(msg.contains("asymmetric weight on edge 1-2"), "{msg}");
+}
+
+#[test]
+fn self_loop_metis_entry_is_a_parse_error() {
+    let err = metis::parse(&fixture("selfloop.metis")).unwrap_err();
+    let msg = err.to_string();
+    assert!(msg.contains("self loop on node 2"), "{msg}");
+}
+
+#[test]
 fn self_loop_graph_json_is_rejected() {
     let err = json::graph_from_json(&fixture("selfloop.graph.json")).unwrap_err();
     assert!(err.to_string().contains("self loop"), "{err}");
